@@ -11,6 +11,13 @@ Compartment flow is S -> E -> I -> {R, D}. An exposed person reverts to
 S when the infection does not take hold, recovered persons cannot be
 reinfected, and deceased persons stay on their tile and block movement.
 
+Exposure is scattered from the infectious sources: each source visits
+the occupied tiles within the exposure radius and multiplies the miss
+probability of every susceptible person there (:func:`exposure_misses`),
+so exposure costs O(sources * radius^2) per step, not O(N^2).
+:func:`exposure_probability` computes one person's probability by the
+same formula and is the reference the exact oracle and the tests use.
+
 All randomness comes from ``random.Random`` streams passed in by the
 caller; the functions themselves hold no hidden state, and the pure
 variants (:func:`movement_phase`, :func:`health_transition_phase`,
@@ -19,11 +26,12 @@ variants (:func:`movement_phase`, :func:`health_transition_phase`,
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import cache
+from json.encoder import encode_basestring_ascii as _json_str
 
-from .rng import substream
+from .rng import randbelow, substream
 from .scenario import EpiParams, ValidatedScenario
 
 __all__ = [
@@ -38,6 +46,7 @@ __all__ = [
     "movement_phase",
     "health_transition_phase",
     "exposure_probability",
+    "exposure_misses",
     "death_probability_on_exit",
     "step",
     "step_inplace",
@@ -83,21 +92,23 @@ class StepEvent:
     detail: str = ""
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "step": self.step,
-                "kind": self.kind,
-                "person_id": self.person_id,
-                "detail": self.detail,
-            }
-        )
+        return events_to_jsonl([self])[:-1]
 
 
 def events_to_jsonl(events: list[StepEvent]) -> str:
-    """Render events as JSON lines, one object per line."""
-    if not events:
-        return ""
-    return "\n".join(e.to_json() for e in events) + "\n"
+    """Render events as JSON lines, one object per line.
+
+    Each line is byte for byte what ``json.dumps`` writes for the dict
+    {step, kind, person_id, detail} at its default settings (ASCII
+    escapes, ", " and ": " separators), formatted directly.
+    """
+    return "".join(
+        [
+            f'{{"step": {e.step}, "kind": {_json_str(e.kind)}, '
+            f'"person_id": {e.person_id}, "detail": {_json_str(e.detail)}}}\n'
+            for e in events
+        ]
+    )
 
 
 @dataclass(slots=True)
@@ -241,6 +252,59 @@ def exposure_probability(target: PersonState, state: SimState, params: EpiParams
     return 1.0 - miss
 
 
+@cache
+def _diamond(radius: int) -> tuple[tuple[int, int, int], ...]:
+    """Offsets (dx, dy, d) of the tiles at Manhattan distance d in 1..radius."""
+    return tuple(
+        (dx, dy, abs(dx) + abs(dy))
+        for dx in range(-radius, radius + 1)
+        for dy in range(-radius, radius + 1)
+        if 1 <= abs(dx) + abs(dy) <= radius
+    )
+
+
+def exposure_misses(
+    sources: list[PersonState], state: SimState, params: EpiParams
+) -> dict[int, float]:
+    """Per-target miss products of this step's infection attempts.
+
+    ``sources`` are the infectious persons of ``state`` in ascending id.
+    Scatters from them instead of gathering per target: each source
+    visits the occupied tiles of its radius diamond and multiplies the
+    miss factor of every susceptible person found there. Each target's
+    product thus has the same factors, float operations and order as in
+    :func:`exposure_probability`, so ``1.0 - misses[target.id]`` equals
+    it exactly. Susceptible persons with no source in range are absent
+    (their probability is 0.0).
+    """
+    persons = state.persons
+    occupant = state.occupancy.get
+    offsets = _diamond(params.exposure_radius)
+    beta_k = params.beta * params.k
+    mask_sus_mult = params.mask_sus_mult
+    vax_protection = params.vax_protection
+    inf_mult = params.mask_inf_mult
+    misses: dict[int, float] = {}
+    for src in sources:
+        sx, sy = src.x, src.y
+        src_masked = src.masked
+        for dx, dy, d in offsets:
+            tid = occupant((sx + dx, sy + dy))
+            if tid is None:
+                continue
+            target = persons[tid]
+            if target.compartment is not _S:
+                continue
+            susceptibility = mask_sus_mult if target.masked else 1.0
+            if target.vaccinated:
+                susceptibility *= vax_protection
+            attempt = (beta_k / d) * susceptibility
+            if src_masked:
+                attempt *= inf_mult
+            misses[tid] = misses.get(tid, 1.0) * (1.0 - attempt)
+    return misses
+
+
 def death_probability_on_exit(person: PersonState, params: EpiParams) -> float:
     """Probability of dying, given the person leaves the infectious
     compartment this step. Vaccination scales it down; the survivor
@@ -257,27 +321,31 @@ def death_probability_on_exit(person: PersonState, params: EpiParams) -> float:
 
 def _movement_inplace(
     state: SimState,
-    validated: ValidatedScenario,
+    adjacency: dict[tuple[int, int], tuple[tuple[int, int], ...]],
+    p_mv: float,
     rng,
     events: list[StepEvent] | None = None,
 ) -> None:
-    p_mv = validated.params.p_mv
-    adjacency = validated.adjacency
     occupancy = state.occupancy
+    random = rng.random
+    getrandbits = rng.getrandbits
     step_no = state.step
     for p in state.persons:
         if p.compartment is _D:
             continue
-        if rng.random() >= p_mv:
+        if random() >= p_mv:
             continue
         pos = (p.x, p.y)
-        candidates = [t for t in adjacency[pos] if t not in occupancy]
+        candidates = []
+        for t in adjacency[pos]:
+            if t not in occupancy:
+                candidates.append(t)
         if not candidates:
             continue
         if len(candidates) == 1:
             target = candidates[0]
         else:
-            target = candidates[rng.randrange(len(candidates))]
+            target = candidates[randbelow(getrandbits, len(candidates))]
         del occupancy[pos]
         occupancy[target] = p.id
         if events is not None:
@@ -299,38 +367,41 @@ def _transition_inplace(
     events: list[StepEvent] | None = None,
 ) -> None:
     # Decisions are made against start-of-phase compartments; nothing is
-    # applied until every person has been processed.
+    # applied until every person has been processed. A susceptible person
+    # with no source in range draws nothing.
     persons = state.persons
     sigma = params.sigma
     persistence = params.infected_persistence
+    random = rng.random
     step_no = state.step
-    any_source = False
+    sources = []
     for p in persons:
         if p.compartment is _I:
-            any_source = True
-            break
+            sources.append(p)
+    misses = exposure_misses(sources, state, params) if sources else {}
     pending: list[tuple[PersonState, Compartment]] = []
     for p in persons:
         c = p.compartment
         if c is _S:
-            if not any_source:
+            miss = misses.get(p.id)
+            if miss is None:
                 continue
-            prob = exposure_probability(p, state, params)
-            if prob > 0.0 and rng.random() < prob:
+            prob = 1.0 - miss
+            if prob > 0.0 and random() < prob:
                 pending.append((p, _E))
                 if events is not None:
                     events.append(StepEvent(step_no, EXPOSED, p.id, f"prob={prob!r}"))
         elif c is _E:
-            if rng.random() < sigma:
+            if random() < sigma:
                 pending.append((p, _I))
                 if events is not None:
                     events.append(StepEvent(step_no, INFECTED, p.id))
             else:
                 pending.append((p, _S))
         elif c is _I:
-            if rng.random() < persistence:
+            if random() < persistence:
                 continue
-            if rng.random() < death_probability_on_exit(p, params):
+            if random() < death_probability_on_exit(p, params):
                 pending.append((p, _D))
                 if events is not None:
                     events.append(StepEvent(step_no, DIED, p.id))
@@ -353,7 +424,7 @@ def movement_phase(state: SimState, validated: ValidatedScenario, rng) -> SimSta
     p_mv to a uniformly chosen unoccupied walkable neighbor, processed in
     ascending id order (earlier movers claim contested tiles)."""
     new = state.clone()
-    _movement_inplace(new, validated, rng)
+    _movement_inplace(new, validated.adjacency, validated.params.p_mv, rng)
     return new
 
 
@@ -389,9 +460,10 @@ def step_inplace(
         from .planner import apply_action_inplace
 
         _apply_action_inplace = apply_action_inplace
+    params = validated.params
     _apply_action_inplace(state, action, validated.planner, events)
-    _movement_inplace(state, validated, rng, events)
-    _transition_inplace(state, validated.params, rng, events)
+    _movement_inplace(state, validated.adjacency, params.p_mv, rng, events)
+    _transition_inplace(state, params, rng, events)
     state.step += 1
 
 

@@ -32,7 +32,7 @@ from .dynamics import (
     init_state,
     step_inplace,
 )
-from .rng import substream
+from .rng import randbelow, substream
 from .scenario import PlannerSettings, ValidatedScenario
 
 __all__ = [
@@ -248,7 +248,6 @@ class RewardLedger:
 class SearchNode:
     """Node on an action edge of the open-loop search tree."""
 
-    state_key: int
     visit_count: int = 0
     total_return: float = 0.0
     children: dict[Action, "SearchNode"] = field(default_factory=dict)
@@ -258,18 +257,31 @@ class SearchNode:
         return self.total_return / self.visit_count if self.visit_count else 0.0
 
 
-def state_key(state: SimState) -> int:
-    """Hash of the decision-relevant state projection."""
-    return hash(
-        (
-            state.step,
-            state.mask_mandate_active,
-            tuple(
-                (p.compartment, p.x, p.y, p.masked, p.vaccinated)
-                for p in state.persons
-            ),
-        )
-    )
+def _vaccinations(state: SimState, settings: PlannerSettings) -> list[Action]:
+    """``vaccinate(id)`` of every person, in id order, for
+    :func:`_random_action`; empty when vaccines are not available."""
+    if not settings.vaccines_available:
+        return []
+    return [vaccinate(p.id) for p in state.persons]
+
+
+def _random_action(
+    state: SimState, settings: PlannerSettings, vaccinations: list[Action], getrandbits
+) -> Action:
+    """Uniformly random legal action, drawn exactly as
+    ``actions[rng.randrange(len(actions))]`` over
+    ``actions = available_actions(state, settings)`` draws it, without
+    building that list: noop, the mask mandate while it is legal, then
+    the vaccination of every eligible person in id order."""
+    eligible = []
+    for p, a in zip(state.persons, vaccinations):
+        if not p.vaccinated and (p.compartment is _S or p.compartment is _R):
+            eligible.append(a)
+    head = 2 if settings.masks_available and not state.mask_mandate_active else 1
+    index = randbelow(getrandbits, head + len(eligible))
+    if index >= head:
+        return eligible[index - head]
+    return MANDATE_MASKS if index else NOOP
 
 
 def _advance(
@@ -303,9 +315,10 @@ def _rollout(
         while sim.step < horizon:
             total += _advance(sim, NOOP, validated, settings, rng)
         return total
+    getrandbits = rng.getrandbits
+    vaccinations = _vaccinations(sim, settings)
     while sim.step < horizon:
-        actions = available_actions(sim, settings)
-        action = actions[rng.randrange(len(actions))]
+        action = _random_action(sim, settings, vaccinations, getrandbits)
         total += _advance(sim, action, validated, settings, rng)
     return total
 
@@ -358,7 +371,7 @@ def plan_with_stats(
         return root_actions[0], {"root_visits": 0, "per_action": []}
 
     exploration = settings.uct_exploration
-    root = SearchNode(state_key(state))
+    root = SearchNode()
     for _ in range(settings.uct_iterations):
         sim = state.clone()
         node = root
@@ -370,7 +383,7 @@ def plan_with_stats(
             if untried:
                 action = untried[0]
                 total += _advance(sim, action, validated, settings, rng)
-                child = SearchNode(state_key(sim))
+                child = SearchNode()
                 node.children[action] = child
                 path.append(child)
                 total += _rollout(sim, validated, settings, rng, horizon)
@@ -469,12 +482,12 @@ def run_episode(
         trajectory.record(state)
         events: list[StepEvent] | None = [] if collect_events else None
         decisions: list[dict] = []
+        vaccinations = _vaccinations(state, settings)
         for t in range(settings.horizon):
             if policy == "noop":
                 action = NOOP
             elif policy == "random":
-                actions = available_actions(state, settings)
-                action = actions[plan_rng.randrange(len(actions))]
+                action = _random_action(state, settings, vaccinations, plan_rng.getrandbits)
             else:
                 action, stats = plan_with_stats(state, validated, settings, plan_rng)
                 if collect_decisions:
@@ -484,17 +497,12 @@ def run_episode(
             infections = state.cumulative_infections
             deaths = state.cumulative_deaths
             costs = state.action_costs
-            step_events: list[StepEvent] = []
-            new_state = state.clone()
-            step_inplace(new_state, action, validated, env_rng, step_events)
-            state = new_state
+            step_inplace(state, action, validated, env_rng, events)
             ledger.add_step(
                 state.cumulative_infections - infections,
                 state.cumulative_deaths - deaths,
                 state.action_costs - costs,
             )
-            if events is not None:
-                events.extend(step_events)
             trajectory.record(state)
         results.append(
             EpisodeResult(trajectory, ledger, events or [], decisions, state)

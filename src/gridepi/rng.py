@@ -18,6 +18,19 @@ def substream(seed: int, label: str) -> random.Random:
     return random.Random(f"{seed}:{label}")
 
 
+def randbelow(getrandbits, n: int) -> int:
+    """Uniform index in ``range(n)`` for ``n >= 1``, drawn exactly as
+    ``random.Random.randrange(n)`` draws it: the rejection loop over
+    ``getrandbits(n.bit_length())``, which consumes draws even for
+    ``n == 1``. Takes the bound ``getrandbits`` method so that hot loops
+    skip ``randrange``'s argument checks."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def stable_seed(*parts: object) -> int:
     """Derive a 64-bit integer seed from a sequence of identifying parts."""
     digest = hashlib.sha256(":".join(str(p) for p in parts).encode()).digest()
