@@ -4,10 +4,12 @@ The package is organized around five modules:
 
 * :mod:`gridepi.scenario` defines the scenario file format, validation,
   and grid queries.
-* :mod:`gridepi.dynamics` advances the stochastic population state step
-  by step.
-* :mod:`gridepi.planner` defines interventions, rewards, the UCT search,
-  and episode execution.
+* :mod:`gridepi.dynamics` is the simulation core: the population state,
+  the interventions, the in-place step kernel with its one pure wrapper
+  :func:`~gridepi.dynamics.step`, and the CSV/JSON rendering of output
+  rows from their field tables.
+* :mod:`gridepi.planner` defines the reward, the UCT search, and episode
+  execution.
 * :mod:`gridepi.oracle` provides the reference computations used to
   check the simulator: a mean-field ODE and exact enumeration of tiny
   static scenarios.

@@ -147,23 +147,6 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _trajectory_json(trajectory) -> str:
-    rows = [
-        {
-            "step": row.step,
-            "S": row.s,
-            "E": row.e,
-            "I": row.i,
-            "R": row.r,
-            "D": row.d,
-            "cum_infections": row.cum_infections,
-            "cum_deaths": row.cum_deaths,
-        }
-        for row in trajectory.rows
-    ]
-    return json.dumps({"trajectory": rows}, indent=2) + "\n"
-
-
 def _cmd_simulate(args) -> int:
     config = load_scenario(args.scenario)
     settings = config.planner
@@ -198,14 +181,13 @@ def _cmd_simulate(args) -> int:
             f"round {index}: S={final.s} E={final.e} I={final.i} "
             f"R={final.r} D={final.d} "
             f"infected={final.cum_infections}/{n} ({positivity:.1f}%) "
-            f"reward={episode.ledger.accumulated!r}"
+            f"reward={episode.reward!r}"
         )
         if args.out is not None:
             path = _round_path(args.out, index, settings.rounds)
-            if args.format == "csv":
-                Path(path).write_text(episode.trajectory.to_csv(), encoding="utf-8")
-            else:
-                Path(path).write_text(_trajectory_json(episode.trajectory), encoding="utf-8")
+            trajectory = episode.trajectory
+            text = trajectory.to_csv() if args.format == "csv" else trajectory.to_json()
+            Path(path).write_text(text, encoding="utf-8")
         if args.events is not None:
             path = _round_path(args.events, index, settings.rounds)
             Path(path).write_text(events_to_jsonl(episode.events), encoding="utf-8")

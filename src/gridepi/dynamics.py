@@ -1,4 +1,4 @@
-"""Per-step stochastic dynamics of the grid population.
+"""The simulation core: state, interventions and the per-step dynamics.
 
 Each simulation step applies three phases in order: the chosen
 intervention action, a movement phase, and a synchronous health
@@ -11,6 +11,12 @@ Compartment flow is S -> E -> I -> {R, D}. An exposed person reverts to
 S when the infection does not take hold, recovered persons cannot be
 reinfected, and deceased persons stay on their tile and block movement.
 
+Actions are applied at the start of a step, one per step: do nothing,
+mandate masks for everyone (once per episode, permanent), or vaccinate a
+single named person (permanent). Compliance was already decided at
+initialization, so applying an action is deterministic: refusers simply
+do not comply, which still consumes the step and any action cost.
+
 Exposure is scattered from the infectious sources: each source visits
 the occupied tiles within the exposure radius and multiplies the miss
 probability of every susceptible person there (:func:`exposure_misses`),
@@ -19,32 +25,49 @@ so exposure costs O(sources * radius^2) per step, not O(N^2).
 same formula and is the reference the exact oracle and the tests use.
 
 All randomness comes from ``random.Random`` streams passed in by the
-caller; the functions themselves hold no hidden state, and the pure
-variants (:func:`movement_phase`, :func:`health_transition_phase`,
-:func:`step`) never mutate their input state.
+caller; the functions themselves hold no hidden state. :func:`step` is
+the pure variant of :func:`step_inplace` and never mutates its input.
+
+Output rows (:class:`TrajectoryRow` here, the harness metrics elsewhere)
+are described by field tables of (column name, attribute, CSV format),
+which :func:`rows_to_csv` and :func:`rows_to_json` render.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cache
 from json.encoder import encode_basestring_ascii as _json_str
+from operator import attrgetter
+from typing import Any, Callable, Iterable
 
 from .rng import randbelow, substream
-from .scenario import EpiParams, ValidatedScenario
+from .scenario import EpiParams, PlannerSettings, ValidatedScenario
 
 __all__ = [
     "Compartment",
     "PersonState",
     "SimState",
     "StepEvent",
+    "IllegalActionError",
+    "ActionKind",
+    "Action",
+    "NOOP",
+    "MANDATE_MASKS",
+    "vaccinate",
+    "available_actions",
+    "apply_action_inplace",
     "Trajectory",
     "TrajectoryRow",
+    "TRAJECTORY_FIELDS",
     "TRAJECTORY_HEADER",
+    "FieldTable",
+    "csv_header",
+    "rows_to_csv",
+    "rows_to_json",
     "init_state",
-    "movement_phase",
-    "health_transition_phase",
     "exposure_probability",
     "exposure_misses",
     "death_probability_on_exit",
@@ -264,7 +287,7 @@ def _diamond(radius: int) -> tuple[tuple[int, int, int], ...]:
 
 
 def exposure_misses(
-    sources: list[PersonState], state: SimState, params: EpiParams
+    sources: list[PersonState], state: SimState, params: EpiParams, reach: int
 ) -> dict[int, float]:
     """Per-target miss products of this step's infection attempts.
 
@@ -276,10 +299,14 @@ def exposure_misses(
     :func:`exposure_probability`, so ``1.0 - misses[target.id]`` equals
     it exactly. Susceptible persons with no source in range are absent
     (their probability is 0.0).
+
+    ``reach`` is the largest Manhattan distance between two tiles of the
+    grid, width + height - 2. The radius is clamped to it, which drops no
+    tile and keeps a huge radius from scanning (2r+1)^2 offsets.
     """
     persons = state.persons
     occupant = state.occupancy.get
-    offsets = _diamond(params.exposure_radius)
+    offsets = _diamond(min(params.exposure_radius, reach))
     beta_k = params.beta * params.k
     mask_sus_mult = params.mask_sus_mult
     vax_protection = params.vax_protection
@@ -363,6 +390,7 @@ def _movement_inplace(
 def _transition_inplace(
     state: SimState,
     params: EpiParams,
+    reach: int,
     rng,
     events: list[StepEvent] | None = None,
 ) -> None:
@@ -378,7 +406,7 @@ def _transition_inplace(
     for p in persons:
         if p.compartment is _I:
             sources.append(p)
-    misses = exposure_misses(sources, state, params) if sources else {}
+    misses = exposure_misses(sources, state, params, reach) if sources else {}
     pending: list[tuple[PersonState, Compartment]] = []
     for p in persons:
         c = p.compartment
@@ -419,57 +447,164 @@ def _transition_inplace(
             state.cumulative_deaths += 1
 
 
-def movement_phase(state: SimState, validated: ValidatedScenario, rng) -> SimState:
-    """Pure movement phase: each living person moves with probability
-    p_mv to a uniformly chosen unoccupied walkable neighbor, processed in
-    ascending id order (earlier movers claim contested tiles)."""
-    new = state.clone()
-    _movement_inplace(new, validated.adjacency, validated.params.p_mv, rng)
-    return new
+# ---------------------------------------------------------------------------
+# Actions
+# ---------------------------------------------------------------------------
 
 
-def health_transition_phase(state: SimState, params: EpiParams, rng) -> SimState:
-    """Pure synchronous health transition phase."""
-    new = state.clone()
-    _transition_inplace(new, params, rng)
-    return new
+class IllegalActionError(Exception):
+    """Raised when an action does not apply in the current state."""
+
+
+class ActionKind(IntEnum):
+    NOOP = 0
+    MANDATE_MASKS = 1
+    VACCINATE = 2
+
+
+@dataclass(frozen=True, order=True)
+class Action:
+    """One intervention. Ordering is (kind, person_id), which is also the
+    deterministic tie-break order everywhere: noop, then the mask
+    mandate, then vaccinations by ascending person id."""
+
+    kind: ActionKind
+    person_id: int = -1
+
+    def describe(self) -> str:
+        if self.kind is ActionKind.NOOP:
+            return "noop"
+        if self.kind is ActionKind.MANDATE_MASKS:
+            return "mandate_masks"
+        return f"vaccinate:{self.person_id}"
+
+
+NOOP = Action(ActionKind.NOOP)
+MANDATE_MASKS = Action(ActionKind.MANDATE_MASKS)
+
+_vaccinate_cache: dict[int, Action] = {}
+
+
+def vaccinate(person_id: int) -> Action:
+    """Vaccination action for one person (instances are cached)."""
+    action = _vaccinate_cache.get(person_id)
+    if action is None:
+        action = Action(ActionKind.VACCINATE, person_id)
+        _vaccinate_cache[person_id] = action
+    return action
+
+
+def available_actions(state: SimState, settings: PlannerSettings) -> list[Action]:
+    """Legal actions in ``state``, in canonical order.
+
+    Noop is always legal. The mask mandate is legal while masks are
+    enabled and no mandate is active yet. Vaccination is legal for each
+    enabled, living, not-yet-vaccinated person who is susceptible or
+    recovered (exposed, infectious, and deceased persons are not
+    eligible).
+    """
+    actions = [NOOP]
+    if settings.masks_available and not state.mask_mandate_active:
+        actions.append(MANDATE_MASKS)
+    if settings.vaccines_available:
+        for p in state.persons:
+            if (
+                not p.vaccinated
+                and (p.compartment is _S or p.compartment is _R)
+            ):
+                actions.append(vaccinate(p.id))
+    return actions
+
+
+def apply_action_inplace(
+    state: SimState,
+    action: Action,
+    settings: PlannerSettings,
+    events: list[StepEvent] | None = None,
+) -> None:
+    """Apply an action to ``state``, mutating it. Legality is checked
+    before any mutation, so an IllegalActionError leaves the state as it
+    was."""
+    kind = action.kind
+    if kind is ActionKind.NOOP:
+        return
+    step_no = state.step
+    if kind is ActionKind.MANDATE_MASKS:
+        if not settings.masks_available:
+            raise IllegalActionError("mask mandate is not available in this scenario")
+        if state.mask_mandate_active:
+            raise IllegalActionError("mask mandate is already active")
+        state.mask_mandate_active = True
+        state.action_costs += settings.cost_mask_action
+        for p in state.persons:
+            if p.compartment is _D:
+                continue
+            if p.mask_refuser:
+                if events is not None:
+                    events.append(
+                        StepEvent(step_no, COMPLIANCE_REFUSAL, p.id, "mask_mandate")
+                    )
+            else:
+                p.masked = True
+                if events is not None:
+                    events.append(StepEvent(step_no, MASKED, p.id))
+        return
+    # vaccination
+    if not settings.vaccines_available:
+        raise IllegalActionError("vaccination is not available in this scenario")
+    pid = action.person_id
+    if pid < 0 or pid >= len(state.persons):
+        raise IllegalActionError(f"no person with id {pid}")
+    person = state.persons[pid]
+    if person.vaccinated:
+        raise IllegalActionError(f"person {pid} is already vaccinated")
+    if person.compartment is not _S and person.compartment is not _R:
+        raise IllegalActionError(
+            f"person {pid} is not eligible for vaccination "
+            f"(compartment {person.compartment.name})"
+        )
+    # a refusal still consumes the step and the action cost
+    state.action_costs += settings.cost_vax_action
+    if person.vax_refuser:
+        if events is not None:
+            events.append(StepEvent(step_no, COMPLIANCE_REFUSAL, pid, "vaccination"))
+        return
+    person.vaccinated = True
+    if events is not None:
+        events.append(StepEvent(step_no, VACCINATED, pid))
 
 
 # ---------------------------------------------------------------------------
 # Full step
 # ---------------------------------------------------------------------------
 
-_apply_action_inplace = None
-
 
 def step_inplace(
     state: SimState,
-    action,
+    action: Action,
     validated: ValidatedScenario,
     rng,
     events: list[StepEvent] | None = None,
 ) -> None:
     """Advance ``state`` by one step in place: action, movement, health.
 
-    The action is checked for legality (against ``validated.planner``)
-    before anything is mutated. Exposed for hot loops; most callers want
-    :func:`step`.
+    Movement moves each living person with probability p_mv to a
+    uniformly chosen unoccupied walkable neighbor, in ascending id order
+    (earlier movers claim contested tiles). The action is checked for
+    legality (against ``validated.planner``) before anything is mutated.
+    Exposed for hot loops; most callers want :func:`step`.
     """
-    global _apply_action_inplace
-    if _apply_action_inplace is None:
-        from .planner import apply_action_inplace
-
-        _apply_action_inplace = apply_action_inplace
     params = validated.params
-    _apply_action_inplace(state, action, validated.planner, events)
+    grid = validated.grid
+    apply_action_inplace(state, action, validated.planner, events)
     _movement_inplace(state, validated.adjacency, params.p_mv, rng, events)
-    _transition_inplace(state, params, rng, events)
+    _transition_inplace(state, params, grid.width + grid.height - 2, rng, events)
     state.step += 1
 
 
 def step(
     state: SimState,
-    action,
+    action: Action,
     validated: ValidatedScenario,
     rng,
 ) -> tuple[SimState, list[StepEvent]]:
@@ -477,7 +612,7 @@ def step(
 
     Args:
         state: Current state; never mutated.
-        action: The intervention to apply first (see :mod:`gridepi.planner`).
+        action: The intervention to apply first.
         validated: Scenario the state was built from.
         rng: Environment random stream.
 
@@ -503,10 +638,40 @@ def census(state: SimState) -> tuple[int, int, int, int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Trajectories
+# Output rows
 # ---------------------------------------------------------------------------
 
-TRAJECTORY_HEADER = "step,S,E,I,R,D,cum_infections,cum_deaths"
+# A field table describes one row type as (column name, attribute, CSV
+# format) triples. The column name is the CSV header cell and the JSON
+# key; the CSV format turns the attribute's value into its CSV cell.
+FieldTable = tuple[tuple[str, str, Callable[[Any], str]], ...]
+
+
+def csv_header(fields: FieldTable) -> str:
+    return ",".join([name for name, _, _ in fields])
+
+
+def rows_to_csv(fields: FieldTable, rows: Iterable) -> str:
+    """CSV text: the header line, then one line per row."""
+    columns = [(attrgetter(attribute), fmt) for _, attribute, fmt in fields]
+    lines = [csv_header(fields)]
+    for row in rows:
+        lines.append(",".join([fmt(get(row)) for get, fmt in columns]))
+    return "\n".join(lines) + "\n"
+
+
+def rows_to_json(key: str, fields: FieldTable, rows: Iterable) -> str:
+    """JSON text ``{key: [...]}``, indented by 2, with one object per row
+    that maps each column name to the attribute's full-precision value."""
+    payload = [
+        {name: getattr(row, attribute) for name, attribute, _ in fields} for row in rows
+    ]
+    return json.dumps({key: payload}, indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Trajectories
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -519,6 +684,19 @@ class TrajectoryRow:
     d: int
     cum_infections: int
     cum_deaths: int
+
+
+TRAJECTORY_FIELDS: FieldTable = (
+    ("step", "step", str),
+    ("S", "s", str),
+    ("E", "e", str),
+    ("I", "i", str),
+    ("R", "r", str),
+    ("D", "d", str),
+    ("cum_infections", "cum_infections", str),
+    ("cum_deaths", "cum_deaths", str),
+)
+TRAJECTORY_HEADER = csv_header(TRAJECTORY_FIELDS)
 
 
 @dataclass
@@ -547,10 +725,7 @@ class Trajectory:
         return self.rows[-1]
 
     def to_csv(self) -> str:
-        lines = [TRAJECTORY_HEADER]
-        for row in self.rows:
-            lines.append(
-                f"{row.step},{row.s},{row.e},{row.i},{row.r},{row.d},"
-                f"{row.cum_infections},{row.cum_deaths}"
-            )
-        return "\n".join(lines) + "\n"
+        return rows_to_csv(TRAJECTORY_FIELDS, self.rows)
+
+    def to_json(self) -> str:
+        return rows_to_json("trajectory", TRAJECTORY_FIELDS, self.rows)

@@ -33,12 +33,12 @@ positivity.
 
 from __future__ import annotations
 
-import json
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .dynamics import Trajectory
-from .planner import run_episode
+from .dynamics import FieldTable, Trajectory, csv_header, rows_to_csv, rows_to_json
+from .planner import EpisodeResult, run_episode
 from .rng import stable_seed
 from .scenario import (
     EpiParams,
@@ -47,6 +47,8 @@ from .scenario import (
     PlannerSettings,
     ScenarioConfig,
     ScenarioParseError,
+    ValidatedScenario,
+    _parse_float,
     density,
     load_scenario,
     validate,
@@ -65,8 +67,6 @@ __all__ = [
     "make_classroom",
     "rooms_for",
     "emit_results",
-    "experiment_rows_to_csv",
-    "benchmark_rows_to_csv",
     "EXPERIMENT_CSV_HEADER",
     "BENCHMARK_CSV_HEADER",
 ]
@@ -78,13 +78,6 @@ VARIATIONS = {
     "vaccines": (False, True),
     "masks+vaccines": (True, True),
 }
-
-EXPERIMENT_CSV_HEADER = (
-    "simulation,N,masks,vaccines,walkable,total_tiles,density,pred_pos_pct,d_avg"
-)
-BENCHMARK_CSV_HEADER = (
-    "model,simulations,masks,vaccines,N,N_est,pred_pos_pct,true_pos_pct,abs_error"
-)
 
 
 @dataclass(frozen=True)
@@ -121,6 +114,25 @@ class RunMetrics:
     trajectories: tuple[Trajectory, ...] = ()
 
 
+def _yesno(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
+# CSV rounds to fixed decimal places; JSON keeps full precision.
+EXPERIMENT_FIELDS: FieldTable = (
+    ("simulation", "simulation", str),
+    ("N", "n", str),
+    ("masks", "masks", _yesno),
+    ("vaccines", "vaccines", _yesno),
+    ("walkable", "walkable", str),
+    ("total_tiles", "total_tiles", str),
+    ("density", "density", "{:.2f}".format),
+    ("pred_pos_pct", "pred_pos_pct", "{:.1f}".format),
+    ("d_avg", "d_avg", "{:.2f}".format),
+)
+EXPERIMENT_CSV_HEADER = csv_header(EXPERIMENT_FIELDS)
+
+
 @dataclass(frozen=True)
 class SchoolBenchmarkSpec:
     """One school modeled as identical classrooms."""
@@ -146,6 +158,20 @@ class BenchmarkMetrics:
     pred_pos_pct: float
     true_pos_pct: float
     abs_error: float
+
+
+BENCHMARK_FIELDS: FieldTable = (
+    ("model", "model", str),
+    ("simulations", "simulations", str),
+    ("masks", "masks", _yesno),
+    ("vaccines", "vaccines", _yesno),
+    ("N", "n", str),
+    ("N_est", "n_est", str),
+    ("pred_pos_pct", "pred_pos_pct", "{:.1f}".format),
+    ("true_pos_pct", "true_pos_pct", "{:.1f}".format),
+    ("abs_error", "abs_error", "{:.1f}".format),
+)
+BENCHMARK_CSV_HEADER = csv_header(BENCHMARK_FIELDS)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +245,14 @@ def _int_value(raw: str, _lineno: int) -> int:
 
 
 def _float_value(raw: str, _lineno: int) -> float:
-    return float(raw)
+    return _parse_float(raw)
+
+
+def _percent_value(raw: str, lineno: int) -> float:
+    value = _float_value(raw, lineno)
+    if not 0.0 <= value <= 100.0:
+        raise ValueError("must be in [0, 100]")
+    return value
 
 
 def _str_value(raw: str, _lineno: int) -> str:
@@ -236,7 +269,7 @@ def parse_experiment_file(path: str | Path) -> list[ExperimentSpec]:
     """
     path = Path(path)
     specs: list[ExperimentSpec] = []
-    for header, header_line, section in _read_sections(path.read_text(encoding="utf-8")):
+    for header, header_line, section in _read_sections(path.read_text(encoding="utf-8-sig")):
         if header != "experiment":
             raise ScenarioParseError(f"unknown section [{header}]", header_line)
         scenario_rel = _take(section, "scenario", _str_value, header_line, required=True)
@@ -270,7 +303,7 @@ def parse_benchmark_file(path: str | Path) -> list[SchoolBenchmarkSpec]:
     """
     path = Path(path)
     specs: list[SchoolBenchmarkSpec] = []
-    for header, header_line, section in _read_sections(path.read_text(encoding="utf-8")):
+    for header, header_line, section in _read_sections(path.read_text(encoding="utf-8-sig")):
         if header != "school":
             raise ScenarioParseError(f"unknown section [{header}]", header_line)
         name = _take(section, "name", _str_value, header_line, required=True)
@@ -278,7 +311,7 @@ def parse_benchmark_file(path: str | Path) -> list[SchoolBenchmarkSpec]:
         per_room = _take(section, "per_room", _int_value, header_line, required=True)
         grid_x = _take(section, "grid_x", _int_value, header_line, required=True)
         grid_y = _take(section, "grid_y", _int_value, header_line, required=True)
-        true_pos = _take(section, "true_pos_pct", _float_value, header_line, required=True)
+        true_pos = _take(section, "true_pos_pct", _percent_value, header_line, required=True)
         variations = _parse_variations(
             _take(section, "variations", _str_value, header_line, default="none"),
             header_line,
@@ -333,36 +366,46 @@ def _variation_suffix(masks: bool, vaccines: bool) -> str:
     return "+" + "+".join(parts) if parts else ""
 
 
-def run_experiment(spec: ExperimentSpec, default_seed: int) -> list[RunMetrics]:
-    """Run every variation of one experiment; deterministic given the seed.
+def _variation_runs(
+    validated: ValidatedScenario,
+    variations: tuple[tuple[bool, bool], ...],
+    seed: int,
+    label: str,
+    count: int,
+) -> Iterator[list[list[EpisodeResult]]]:
+    """Yield, per variation in order, the episodes of ``count`` runs.
 
-    Per-run seeds are derived from (seed, label, variation index, run
-    index), so adding runs or variations never perturbs existing ones.
-    Variations with at least one intervention enabled use the embedded
-    planner; the no-intervention variation runs the noop policy, which is
-    the planner's only choice there anyway.
+    Run i of variation v is seeded with stable_seed(seed, label, v, i),
+    so adding runs or variations never perturbs existing ones, and no
+    run depends on the order the runs execute in. Each variation enables
+    its interventions on top of ``validated.planner``. Variations with at
+    least one intervention use the embedded planner; the
+    no-intervention variation runs the noop policy, which is the
+    planner's only choice there anyway.
     """
+    for v_index, (masks, vaccines) in enumerate(variations):
+        settings = replace(
+            validated.planner, masks_available=masks, vaccines_available=vaccines
+        )
+        policy = "planner" if (masks or vaccines) else "noop"
+        yield [
+            run_episode(validated, settings, policy, stable_seed(seed, label, v_index, i))
+            for i in range(count)
+        ]
+
+
+def run_experiment(spec: ExperimentSpec, default_seed: int) -> list[RunMetrics]:
+    """Run every variation of one experiment; deterministic given the seed
+    (see :func:`_variation_runs` for the per-run seeds and policies)."""
     seed = spec.seed if spec.seed is not None else default_seed
     validated = validate(spec.scenario)
     n = validated.population
     rows: list[RunMetrics] = []
-    for v_index, (masks, vaccines) in enumerate(spec.variations):
-        settings = replace(
-            spec.scenario.planner,
-            masks_available=masks,
-            vaccines_available=vaccines,
-        )
-        policy = "planner" if (masks or vaccines) else "noop"
-        positivity: list[float] = []
-        deaths: list[int] = []
-        trajectories: list[Trajectory] = []
-        for run in range(spec.runs):
-            run_seed = stable_seed(seed, spec.label, v_index, run)
-            for episode in run_episode(validated, settings, policy, run_seed):
-                final = episode.trajectory.final
-                positivity.append(100.0 * final.cum_infections / n)
-                deaths.append(final.d)
-                trajectories.append(episode.trajectory)
+    sweep = _variation_runs(validated, spec.variations, seed, spec.label, spec.runs)
+    for (masks, vaccines), runs in zip(spec.variations, sweep):
+        episodes = [episode for run in runs for episode in run]
+        positivity = [100.0 * ep.trajectory.final.cum_infections / n for ep in episodes]
+        deaths = [ep.trajectory.final.d for ep in episodes]
         rows.append(
             RunMetrics(
                 simulation=spec.label + _variation_suffix(masks, vaccines),
@@ -376,7 +419,7 @@ def run_experiment(spec: ExperimentSpec, default_seed: int) -> list[RunMetrics]:
                 d_avg=sum(deaths) / len(deaths),
                 episode_positivity=tuple(positivity),
                 episode_deaths=tuple(deaths),
-                trajectories=tuple(trajectories),
+                trajectories=tuple(ep.trajectory for ep in episodes),
             )
         )
     return rows
@@ -436,15 +479,10 @@ def simulate_school(spec: SchoolBenchmarkSpec, default_seed: int) -> list[Benchm
     classroom = make_classroom(spec.grid_x, spec.grid_y, spec.per_room, spec.planner)
     validated = validate(classroom)
     rows: list[BenchmarkMetrics] = []
-    for v_index, (masks, vaccines) in enumerate(spec.variations):
-        settings = replace(
-            spec.planner, masks_available=masks, vaccines_available=vaccines
-        )
-        policy = "planner" if (masks or vaccines) else "noop"
+    sweep = _variation_runs(validated, spec.variations, default_seed, spec.name, rooms)
+    for v_index, ((masks, vaccines), runs) in enumerate(zip(spec.variations, sweep)):
         total_infections = 0.0
-        for room in range(rooms):
-            room_seed = stable_seed(default_seed, spec.name, v_index, room)
-            episodes = run_episode(validated, settings, policy, room_seed)
+        for episodes in runs:
             total_infections += sum(
                 ep.trajectory.final.cum_infections for ep in episodes
             ) / len(episodes)
@@ -470,68 +508,6 @@ def simulate_school(spec: SchoolBenchmarkSpec, default_seed: int) -> list[Benchm
 # ---------------------------------------------------------------------------
 
 
-def _yesno(flag: bool) -> str:
-    return "yes" if flag else "no"
-
-
-def experiment_rows_to_csv(rows: list[RunMetrics]) -> str:
-    lines = [EXPERIMENT_CSV_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r.simulation},{r.n},{_yesno(r.masks)},{_yesno(r.vaccines)},"
-            f"{r.walkable},{r.total_tiles},{r.density:.2f},"
-            f"{r.pred_pos_pct:.1f},{r.d_avg:.2f}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def benchmark_rows_to_csv(rows: list[BenchmarkMetrics]) -> str:
-    lines = [BENCHMARK_CSV_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r.model},{r.simulations},{_yesno(r.masks)},{_yesno(r.vaccines)},"
-            f"{r.n},{r.n_est},{r.pred_pos_pct:.1f},{r.true_pos_pct:.1f},"
-            f"{r.abs_error:.1f}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _experiment_rows_to_json(rows: list[RunMetrics]) -> str:
-    payload = [
-        {
-            "simulation": r.simulation,
-            "N": r.n,
-            "masks": r.masks,
-            "vaccines": r.vaccines,
-            "walkable": r.walkable,
-            "total_tiles": r.total_tiles,
-            "density": r.density,
-            "pred_pos_pct": r.pred_pos_pct,
-            "d_avg": r.d_avg,
-        }
-        for r in rows
-    ]
-    return json.dumps({"results": payload}, indent=2) + "\n"
-
-
-def _benchmark_rows_to_json(rows: list[BenchmarkMetrics]) -> str:
-    payload = [
-        {
-            "model": r.model,
-            "simulations": r.simulations,
-            "masks": r.masks,
-            "vaccines": r.vaccines,
-            "N": r.n,
-            "N_est": r.n_est,
-            "pred_pos_pct": r.pred_pos_pct,
-            "true_pos_pct": r.true_pos_pct,
-            "abs_error": r.abs_error,
-        }
-        for r in rows
-    ]
-    return json.dumps({"results": payload}, indent=2) + "\n"
-
-
 def emit_results(rows: list, fmt: str = "csv", out: str | Path | None = None) -> str:
     """Render result rows as CSV (fixed decimal places) or JSON (full
     precision) and optionally write them to ``out``.
@@ -547,11 +523,12 @@ def emit_results(rows: list, fmt: str = "csv", out: str | Path | None = None) ->
         raise ValueError("no result rows to emit")
     kinds = {type(r) for r in rows}
     if kinds == {RunMetrics}:
-        text = experiment_rows_to_csv(rows) if fmt == "csv" else _experiment_rows_to_json(rows)
+        fields = EXPERIMENT_FIELDS
     elif kinds == {BenchmarkMetrics}:
-        text = benchmark_rows_to_csv(rows) if fmt == "csv" else _benchmark_rows_to_json(rows)
+        fields = BENCHMARK_FIELDS
     else:
         raise ValueError("rows must be all RunMetrics or all BenchmarkMetrics")
+    text = rows_to_csv(fields, rows) if fmt == "csv" else rows_to_json("results", fields, rows)
     if out is not None:
         Path(out).write_text(text, encoding="utf-8")
     return text

@@ -1,10 +1,7 @@
-"""Interventions and the embedded anytime planner.
+"""Rewards, the embedded anytime planner and the episode driver.
 
-Actions are applied at the start of a step, one per step: do nothing,
-mandate masks for everyone (once per episode, permanent), or vaccinate a
-single named person (permanent). Compliance was already decided at
-initialization, so applying an action is deterministic: refusers simply
-do not comply, which still consumes the step and any action cost.
+The actions themselves live in :mod:`gridepi.dynamics`, which applies
+them at the start of each step; they are re-exported here.
 
 The planner is an open-loop UCT search. Tree nodes sit on action edges;
 environment stochasticity is re-sampled on every descent from the
@@ -19,18 +16,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import IntEnum
 
 from .dynamics import (
-    COMPLIANCE_REFUSAL,
-    MASKED,
-    VACCINATED,
+    MANDATE_MASKS,
+    NOOP,
+    Action,
+    ActionKind,
     Compartment,
+    IllegalActionError,
     SimState,
     StepEvent,
     Trajectory,
+    apply_action_inplace,
+    available_actions,
     init_state,
     step_inplace,
+    vaccinate,
 )
 from .rng import randbelow, substream
 from .scenario import PlannerSettings, ValidatedScenario
@@ -43,10 +44,8 @@ __all__ = [
     "vaccinate",
     "IllegalActionError",
     "available_actions",
-    "apply_action",
     "apply_action_inplace",
     "step_reward",
-    "RewardLedger",
     "SearchNode",
     "plan",
     "plan_with_stats",
@@ -57,141 +56,8 @@ __all__ = [
 
 _S = Compartment.S
 _R = Compartment.R
-_D = Compartment.D
 
 POLICIES = ("planner", "noop", "random")
-
-
-class IllegalActionError(Exception):
-    """Raised when an action does not apply in the current state."""
-
-
-class ActionKind(IntEnum):
-    NOOP = 0
-    MANDATE_MASKS = 1
-    VACCINATE = 2
-
-
-@dataclass(frozen=True, order=True)
-class Action:
-    """One intervention. Ordering is (kind, person_id), which is also the
-    deterministic tie-break order everywhere: noop, then the mask
-    mandate, then vaccinations by ascending person id."""
-
-    kind: ActionKind
-    person_id: int = -1
-
-    def describe(self) -> str:
-        if self.kind is ActionKind.NOOP:
-            return "noop"
-        if self.kind is ActionKind.MANDATE_MASKS:
-            return "mandate_masks"
-        return f"vaccinate:{self.person_id}"
-
-
-NOOP = Action(ActionKind.NOOP)
-MANDATE_MASKS = Action(ActionKind.MANDATE_MASKS)
-
-_vaccinate_cache: dict[int, Action] = {}
-
-
-def vaccinate(person_id: int) -> Action:
-    """Vaccination action for one person (instances are cached)."""
-    action = _vaccinate_cache.get(person_id)
-    if action is None:
-        action = Action(ActionKind.VACCINATE, person_id)
-        _vaccinate_cache[person_id] = action
-    return action
-
-
-def available_actions(state: SimState, settings: PlannerSettings) -> list[Action]:
-    """Legal actions in ``state``, in canonical order.
-
-    Noop is always legal. The mask mandate is legal while masks are
-    enabled and no mandate is active yet. Vaccination is legal for each
-    enabled, living, not-yet-vaccinated person who is susceptible or
-    recovered (exposed, infectious, and deceased persons are not
-    eligible).
-    """
-    actions = [NOOP]
-    if settings.masks_available and not state.mask_mandate_active:
-        actions.append(MANDATE_MASKS)
-    if settings.vaccines_available:
-        for p in state.persons:
-            if (
-                not p.vaccinated
-                and (p.compartment is _S or p.compartment is _R)
-            ):
-                actions.append(vaccinate(p.id))
-    return actions
-
-
-def apply_action_inplace(
-    state: SimState,
-    action: Action,
-    settings: PlannerSettings,
-    events: list[StepEvent] | None = None,
-) -> None:
-    """Apply an action to ``state``, mutating it. Legality is checked
-    before any mutation, so an IllegalActionError leaves the state as it
-    was."""
-    kind = action.kind
-    if kind is ActionKind.NOOP:
-        return
-    step_no = state.step
-    if kind is ActionKind.MANDATE_MASKS:
-        if not settings.masks_available:
-            raise IllegalActionError("mask mandate is not available in this scenario")
-        if state.mask_mandate_active:
-            raise IllegalActionError("mask mandate is already active")
-        state.mask_mandate_active = True
-        state.action_costs += settings.cost_mask_action
-        for p in state.persons:
-            if p.compartment is _D:
-                continue
-            if p.mask_refuser:
-                if events is not None:
-                    events.append(
-                        StepEvent(step_no, COMPLIANCE_REFUSAL, p.id, "mask_mandate")
-                    )
-            else:
-                p.masked = True
-                if events is not None:
-                    events.append(StepEvent(step_no, MASKED, p.id))
-        return
-    # vaccination
-    if not settings.vaccines_available:
-        raise IllegalActionError("vaccination is not available in this scenario")
-    pid = action.person_id
-    if pid < 0 or pid >= len(state.persons):
-        raise IllegalActionError(f"no person with id {pid}")
-    person = state.persons[pid]
-    if person.vaccinated:
-        raise IllegalActionError(f"person {pid} is already vaccinated")
-    if person.compartment is not _S and person.compartment is not _R:
-        raise IllegalActionError(
-            f"person {pid} is not eligible for vaccination "
-            f"(compartment {person.compartment.name})"
-        )
-    # a refusal still consumes the step and the action cost
-    state.action_costs += settings.cost_vax_action
-    if person.vax_refuser:
-        if events is not None:
-            events.append(StepEvent(step_no, COMPLIANCE_REFUSAL, pid, "vaccination"))
-        return
-    person.vaccinated = True
-    if events is not None:
-        events.append(StepEvent(step_no, VACCINATED, pid))
-
-
-def apply_action(
-    state: SimState, action: Action, settings: PlannerSettings
-) -> tuple[SimState, list[StepEvent]]:
-    """Pure variant of :func:`apply_action_inplace`."""
-    events: list[StepEvent] = []
-    new = state.clone()
-    apply_action_inplace(new, action, settings, events)
-    return new, events
 
 
 # ---------------------------------------------------------------------------
@@ -199,44 +65,21 @@ def apply_action(
 # ---------------------------------------------------------------------------
 
 
+def _reward(settings: PlannerSettings, infections: int, deaths: int, costs: float) -> float:
+    """The infection penalty times new infections, plus the death penalty
+    times new deaths, plus the action costs incurred. Always <= 0 under
+    the default penalties."""
+    return settings.pen_i * infections + settings.pen_d * deaths + costs
+
+
 def step_reward(before: SimState, after: SimState, settings: PlannerSettings) -> float:
-    """Reward earned by one step: the infection penalty times new
-    infections, plus the death penalty times new deaths, plus any action
-    cost incurred. Always <= 0 under the default penalties."""
-    return (
-        settings.pen_i * (after.cumulative_infections - before.cumulative_infections)
-        + settings.pen_d * (after.cumulative_deaths - before.cumulative_deaths)
-        + (after.action_costs - before.action_costs)
+    """Reward earned by the step from ``before`` to ``after``."""
+    return _reward(
+        settings,
+        after.cumulative_infections - before.cumulative_infections,
+        after.cumulative_deaths - before.cumulative_deaths,
+        after.action_costs - before.action_costs,
     )
-
-
-@dataclass
-class RewardLedger:
-    """Integer-exact episode bookkeeping.
-
-    ``infections`` and ``deaths`` count events during the episode (the
-    initial infectious person is part of the starting conditions, not a
-    penalized event). ``accumulated`` is the closed form of the summed
-    step rewards."""
-
-    pen_i: float
-    pen_d: float
-    infections: int = 0
-    deaths: int = 0
-    action_costs: float = 0.0
-
-    def add_step(self, new_infections: int, new_deaths: int, cost: float) -> None:
-        self.infections += new_infections
-        self.deaths += new_deaths
-        self.action_costs += cost
-
-    @property
-    def accumulated(self) -> float:
-        return (
-            self.pen_i * self.infections
-            + self.pen_d * self.deaths
-            + self.action_costs
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +139,11 @@ def _advance(
     deaths = sim.cumulative_deaths
     costs = sim.action_costs
     step_inplace(sim, action, validated, rng)
-    return (
-        settings.pen_i * (sim.cumulative_infections - infections)
-        + settings.pen_d * (sim.cumulative_deaths - deaths)
-        + (sim.action_costs - costs)
+    return _reward(
+        settings,
+        sim.cumulative_infections - infections,
+        sim.cumulative_deaths - deaths,
+        sim.action_costs - costs,
     )
 
 
@@ -429,11 +273,15 @@ def plan(
 
 @dataclass
 class EpisodeResult:
-    """Outcome of one round: the census trajectory, the reward ledger,
-    optional event and planner-decision logs, and the final state."""
+    """Outcome of one round: the census trajectory, the episode reward,
+    optional event and planner-decision logs, and the final state.
+
+    ``reward`` is the closed form of the summed step rewards: infections
+    count from the initial census, so persons infectious at time zero
+    are starting conditions, not penalized events."""
 
     trajectory: Trajectory
-    ledger: RewardLedger
+    reward: float
     events: list[StepEvent]
     decisions: list[dict]
     final_state: SimState
@@ -477,7 +325,6 @@ def run_episode(
         env_rng = substream(round_seed, "env")
         plan_rng = substream(round_seed, "plan")
         state = init_state(validated, round_seed)
-        ledger = RewardLedger(settings.pen_i, settings.pen_d)
         trajectory = Trajectory()
         trajectory.record(state)
         events: list[StepEvent] | None = [] if collect_events else None
@@ -494,17 +341,15 @@ def run_episode(
                     decisions.append(
                         {"step": t, "chosen_action": action.describe(), **stats}
                     )
-            infections = state.cumulative_infections
-            deaths = state.cumulative_deaths
-            costs = state.action_costs
             step_inplace(state, action, validated, env_rng, events)
-            ledger.add_step(
-                state.cumulative_infections - infections,
-                state.cumulative_deaths - deaths,
-                state.action_costs - costs,
-            )
             trajectory.record(state)
+        reward = _reward(
+            settings,
+            state.cumulative_infections - trajectory.rows[0].cum_infections,
+            state.cumulative_deaths,
+            state.action_costs,
+        )
         results.append(
-            EpisodeResult(trajectory, ledger, events or [], decisions, state)
+            EpisodeResult(trajectory, reward, events or [], decisions, state)
         )
     return results

@@ -418,9 +418,10 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioConfig:
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
-    """Read and parse a scenario file; the file stem becomes its name."""
+    """Read and parse a scenario file; the file stem becomes its name. A
+    leading UTF-8 byte order mark is skipped."""
     p = Path(path)
-    return parse_scenario(p.read_text(encoding="utf-8"), name=p.stem)
+    return parse_scenario(p.read_text(encoding="utf-8-sig"), name=p.stem)
 
 
 # ---------------------------------------------------------------------------

@@ -287,6 +287,17 @@ def test_benchmark_output(bench, capsys):
     assert lines[2].startswith("Tiny-MDP-2,2,yes,yes,6,6,")
 
 
+def test_benchmark_non_finite_positivity_exits_one(tmp_path, capsys):
+    path = tmp_path / "nan.bench"
+    path.write_text(
+        "[school]\nname = X\nenrollment = 2\nper_room = 1\n"
+        "grid_x = 2\ngrid_y = 2\ntrue_pos_pct = nan\n",
+        encoding="utf-8",
+    )
+    assert cli_main(["benchmark", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().out.startswith("error: line 7: ")
+
+
 def test_benchmark_deterministic(bench, capsys):
     assert cli_main(["benchmark", bench, "--seed", "8"]) == EXIT_OK
     first = capsys.readouterr().out

@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gridepi
 from gridepi import assets
 from gridepi.dynamics import (
     Compartment,
@@ -19,7 +25,6 @@ from gridepi.dynamics import (
     events_to_jsonl,
     exposure_probability,
     init_state,
-    movement_phase,
     step,
 )
 from gridepi.planner import NOOP
@@ -120,7 +125,7 @@ def test_enclosed_person_never_moves():
     v = _validated("[grid]\n###\n#S#\n###\n\n[params]\np_mv=1.0\n")
     state = init_state(v, 4)
     for seed in range(10):
-        moved = movement_phase(state, v, substream(seed, "env"))
+        moved, _ = step(state, NOOP, v, substream(seed, "env"))
         assert moved.persons[0].position == (1, 1)
 
 
@@ -129,7 +134,7 @@ def test_contested_tile_goes_to_lower_id():
     v = _validated("[grid]\nS.S\n\n[params]\np_mv=1.0\n")
     state = init_state(v, 0)
     for seed in range(25):
-        moved = movement_phase(state, v, substream(seed, "m"))
+        moved, _ = step(state, NOOP, v, substream(seed, "m"))
         assert moved.persons[0].position == (1, 0)
         assert moved.persons[1].position == (2, 0)
         assert len(moved.occupancy) == 2
@@ -236,6 +241,31 @@ def test_exposure_no_sources():
     v = _validated("[grid]\nSR\n")
     state = init_state(v, 0)
     assert exposure_probability(state.persons[0], state, v.params) == 0.0
+
+
+def test_huge_exposure_radius_is_clamped_to_the_grid():
+    # No tile of the 3x1 grid lies more than width + height - 2 = 2 away,
+    # so a larger radius must give the radius-2 history without scanning
+    # (2r+1)^2 offsets per source and step; the source stays infectious.
+    # The radius stays moderate so that a kernel without the clamp fails
+    # on time (about 2 s) instead of exhausting memory.
+    def history(radius):
+        v = _validated(
+            f"[grid]\nSI.\n\n[params]\nexposure_radius={radius}\n"
+            "infected_persistence=1.0\n"
+        )
+        state = init_state(v, 5)
+        rng = substream(5, "env")
+        trail = []
+        for _ in range(20):
+            state, events = step(state, NOOP, v, rng)
+            trail.append((census(state), events))
+        return trail
+
+    reference = history(2)
+    started = time.perf_counter()
+    assert history(400) == reference
+    assert time.perf_counter() - started < 0.5
 
 
 def test_death_probability_on_exit():
@@ -391,3 +421,28 @@ def test_event_log_is_json_lines():
         payload = json.loads(line)
         assert set(payload) == {"step", "kind", "person_id", "detail"}
         assert payload["step"] == 0
+
+
+# ---------------------------------------------------------------------------
+# Module structure
+# ---------------------------------------------------------------------------
+
+
+def test_dynamics_steps_without_importing_the_planner():
+    code = (
+        "import sys\n"
+        "from gridepi.dynamics import NOOP, init_state, step\n"
+        "from gridepi.rng import substream\n"
+        "from gridepi.scenario import parse_scenario, validate\n"
+        "v = validate(parse_scenario('[grid]\\nSI.\\n'))\n"
+        "step(init_state(v, 0), NOOP, v, substream(0, 'env'))\n"
+        "assert 'gridepi.planner' not in sys.modules\n"
+    )
+    src = str(Path(gridepi.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 0, result.stderr

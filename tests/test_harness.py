@@ -50,6 +50,18 @@ uct_iterations = 8
 """
 
 
+ONE_SCHOOL = """\
+[school]
+name = Tiny
+enrollment = 105
+per_room = 8
+grid_x = 6
+grid_y = 6
+true_pos_pct = 21.2
+variations = none
+"""
+
+
 def _write_spec(tmp_path, exp_text=SMALL_EXP, scn_text=TINY_SCN):
     (tmp_path / "tiny.scn").write_text(scn_text, encoding="utf-8")
     spec_path = tmp_path / "sweep.exp"
@@ -189,21 +201,43 @@ def test_parse_bundled_benchmark_file():
     ],
 )
 def test_parse_benchmark_errors(tmp_path, mutation):
-    base = (
-        "[school]\n"
-        "name = Tiny\n"
-        "enrollment = 105\n"
-        "per_room = 8\n"
-        "grid_x = 6\n"
-        "grid_y = 6\n"
-        "true_pos_pct = 21.2\n"
-        "variations = none\n"
-    )
     old, new = mutation
     path = tmp_path / "one.bench"
-    path.write_text(base.replace(old, new), encoding="utf-8")
+    path.write_text(ONE_SCHOOL.replace(old, new), encoding="utf-8")
     with pytest.raises(ScenarioParseError):
         parse_benchmark_file(path)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "true_pos_pct = nan",
+        "true_pos_pct = inf",
+        "true_pos_pct = -1",
+        "true_pos_pct = 101",
+        "true_pos_pct = 21.2\nuct_exploration = nan",
+        "true_pos_pct = 21.2\nuct_exploration = -inf",
+    ],
+)
+def test_parse_benchmark_rejects_bad_floats_on_their_line(tmp_path, line):
+    path = tmp_path / "one.bench"
+    path.write_text(ONE_SCHOOL.replace("true_pos_pct = 21.2", line), encoding="utf-8")
+    with pytest.raises(ScenarioParseError) as info:
+        parse_benchmark_file(path)
+    assert info.value.line == 7 + line.count("\n")
+
+
+def test_parse_skips_leading_byte_order_mark(tmp_path):
+    (tmp_path / "plain").mkdir()
+    (tmp_path / "bom").mkdir()
+    plain = _write_spec(tmp_path / "plain")
+    bom = _write_spec(tmp_path / "bom", "\ufeff" + SMALL_EXP, "\ufeff" + TINY_SCN)
+    assert parse_experiment_file(bom) == parse_experiment_file(plain)
+    (tmp_path / "plain" / "one.bench").write_text(ONE_SCHOOL, encoding="utf-8")
+    (tmp_path / "bom" / "one.bench").write_text("\ufeff" + ONE_SCHOOL, encoding="utf-8")
+    assert parse_benchmark_file(tmp_path / "bom" / "one.bench") == parse_benchmark_file(
+        tmp_path / "plain" / "one.bench"
+    )
 
 
 def test_variation_table_is_total():

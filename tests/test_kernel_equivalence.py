@@ -65,12 +65,12 @@ def exposure_cases(draw):
         vax_protection=draw(unit),
         exposure_radius=draw(st.integers(min_value=1, max_value=3)),
     )
-    return state, params
+    return state, params, width + height - 2
 
 
-def _assert_scatter_matches(state, params):
+def _assert_scatter_matches(state, params, reach):
     sources = [p for p in state.persons if p.compartment is Compartment.I]
-    misses = exposure_misses(sources, state, params)
+    misses = exposure_misses(sources, state, params, reach)
     for person in state.persons:
         if person.compartment is Compartment.S:
             assert 1.0 - misses.get(person.id, 1.0) == exposure_probability(
@@ -99,7 +99,7 @@ def test_scattered_exposure_many_masked_sources_around_one_target():
     target.vaccinated = True
     for radius in (1, 2, 3):
         params = EpiParams(beta=0.9, k=0.7, exposure_radius=radius)
-        _assert_scatter_matches(state, params)
+        _assert_scatter_matches(state, params, 5 + 5 - 2)
     assert exposure_probability(target, state, params) > 0.0
 
 

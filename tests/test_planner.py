@@ -14,8 +14,6 @@ from gridepi.planner import (
     Action,
     ActionKind,
     IllegalActionError,
-    RewardLedger,
-    apply_action,
     apply_action_inplace,
     available_actions,
     plan,
@@ -39,6 +37,14 @@ def _validated(text: str):
 
 def _small_space():
     return validate(load_scenario(assets.asset_path("small_space.scn")))
+
+
+def _apply(state, action, settings):
+    """Apply ``action`` to a clone of ``state``; return the clone and events."""
+    after = state.clone()
+    events = []
+    apply_action_inplace(after, action, settings, events)
+    return after, events
 
 
 # ---------------------------------------------------------------------------
@@ -94,14 +100,14 @@ def test_available_actions_respect_flags():
 def test_mandate_unavailable_once_active():
     v = _small_space()
     state = init_state(v, 0)
-    after, _ = apply_action(state, MANDATE_MASKS, v.planner)
+    after, _ = _apply(state, MANDATE_MASKS, v.planner)
     assert MANDATE_MASKS not in available_actions(after, v.planner)
 
 
 def test_vaccinated_person_leaves_action_set():
     v = _validated("[grid]\nSI\n\n[params]\nvax_noncompliance=0.0\n")
     state = init_state(v, 0)
-    after, _ = apply_action(state, vaccinate(0), v.planner)
+    after, _ = _apply(state, vaccinate(0), v.planner)
     assert vaccinate(0) not in available_actions(after, v.planner)
 
 
@@ -119,7 +125,7 @@ def test_recovered_person_is_vaccination_target():
 def test_noop_changes_nothing():
     v = _small_space()
     state = init_state(v, 1)
-    after, events = apply_action(state, NOOP, v.planner)
+    after, events = _apply(state, NOOP, v.planner)
     assert after == state
     assert events == []
 
@@ -127,7 +133,7 @@ def test_noop_changes_nothing():
 def test_mandate_masks_compliant_population():
     v = _validated("[grid]\nSSI\n\n[params]\nmask_noncompliance=0.0\n")
     state = init_state(v, 0)
-    after, events = apply_action(state, MANDATE_MASKS, v.planner)
+    after, events = _apply(state, MANDATE_MASKS, v.planner)
     assert after.mask_mandate_active
     assert all(p.masked for p in after.persons)
     assert sorted(e.kind for e in events) == ["masked", "masked", "masked"]
@@ -136,7 +142,7 @@ def test_mandate_masks_compliant_population():
 def test_mandate_masks_refusers():
     v = _validated("[grid]\nSSI\n\n[params]\nmask_noncompliance=1.0\n")
     state = init_state(v, 0)
-    after, events = apply_action(state, MANDATE_MASKS, v.planner)
+    after, events = _apply(state, MANDATE_MASKS, v.planner)
     assert after.mask_mandate_active
     assert not any(p.masked for p in after.persons)
     assert all(e.kind == "compliance_refusal" for e in events)
@@ -151,7 +157,7 @@ def test_mandate_skips_the_dead():
     state = init_state(v, 0)
     state, _ = step(state, NOOP, v, substream(0, "env"))
     assert state.persons[1].compartment is Compartment.D
-    after, _ = apply_action(state, MANDATE_MASKS, v.planner)
+    after, _ = _apply(state, MANDATE_MASKS, v.planner)
     assert after.persons[0].masked
     assert not after.persons[1].masked
 
@@ -161,7 +167,7 @@ def test_mask_compliance_rate_matches_parameter():
     masked = total = 0
     for seed in range(600):
         state = init_state(v, seed)
-        after, _ = apply_action(state, MANDATE_MASKS, v.planner)
+        after, _ = _apply(state, MANDATE_MASKS, v.planner)
         masked += sum(p.masked for p in after.persons)
         total += len(after.persons)
     assert masked / total == pytest.approx(0.96, abs=0.01)
@@ -171,7 +177,7 @@ def test_vaccination_success_and_cost():
     settings = PlannerSettings(cost_vax_action=-0.5)
     v = _validated("[grid]\nSI\n\n[params]\nvax_noncompliance=0.0\n")
     state = init_state(v, 0)
-    after, events = apply_action(state, vaccinate(0), settings)
+    after, events = _apply(state, vaccinate(0), settings)
     assert after.persons[0].vaccinated
     assert after.action_costs == -0.5
     assert [e.kind for e in events] == ["vaccinated"]
@@ -181,7 +187,7 @@ def test_vaccination_refusal_still_costs():
     settings = PlannerSettings(cost_vax_action=-0.5)
     v = _validated("[grid]\nSI\n\n[params]\nvax_noncompliance=1.0\n")
     state = init_state(v, 0)
-    after, events = apply_action(state, vaccinate(0), settings)
+    after, events = _apply(state, vaccinate(0), settings)
     assert not after.persons[0].vaccinated
     assert after.action_costs == -0.5
     assert [e.kind for e in events] == ["compliance_refusal"]
@@ -262,17 +268,8 @@ def test_step_reward_noop_is_zero():
     assert step_reward(state, after, settings) == 0.0
 
 
-def test_ledger_accumulates_closed_form():
-    ledger = RewardLedger(pen_i=-1.0, pen_d=-5.0)
-    ledger.add_step(2, 0, 0.0)
-    ledger.add_step(1, 1, -0.25)
-    assert ledger.infections == 3
-    assert ledger.deaths == 1
-    assert ledger.accumulated == pytest.approx(-1.0 * 3 + -5.0 * 1 + -0.25)
-
-
 def test_episode_reward_identity():
-    # the ledger total must equal the closed form computed from the final
+    # the episode reward must equal the closed form computed from the final
     # state, with bit-identical floats
     v = validate(load_scenario(assets.asset_path("small_crowded.scn")))
     settings = replace(v.planner, rounds=1, uct_iterations=16)
@@ -287,7 +284,7 @@ def test_episode_reward_identity():
             + settings.pen_d * final.cumulative_deaths
             + final.action_costs
         )
-        assert result.ledger.accumulated == expected
+        assert result.reward == expected
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +381,7 @@ def test_planner_beats_noop_on_average():
         total = 0.0
         for seed in range(12):
             (result,) = run_episode(v, settings, policy, 1000 + seed)
-            total += result.ledger.accumulated
+            total += result.reward
         return total / 12
 
     assert mean_return("planner") > mean_return("noop")

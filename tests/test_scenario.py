@@ -153,6 +153,18 @@ def test_parse_error_carries_line_number():
         pytest.fail("expected a parse error")
 
 
+def test_load_skips_leading_byte_order_mark(tmp_path):
+    text = assets.asset_path("small_space.scn").read_text(encoding="utf-8")
+    (tmp_path / "plain").mkdir()
+    (tmp_path / "bom").mkdir()
+    plain = tmp_path / "plain" / "room.scn"
+    bom = tmp_path / "bom" / "room.scn"
+    plain.write_text(text, encoding="utf-8")
+    bom.write_text("\ufeff" + text, encoding="utf-8")
+    assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_scenario(bom) == load_scenario(plain)
+
+
 # ---------------------------------------------------------------------------
 # Serialization round-trip
 # ---------------------------------------------------------------------------
