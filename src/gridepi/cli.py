@@ -127,16 +127,7 @@ def _round_path(base: str, index: int, rounds: int) -> str:
 
 
 def _cmd_validate(args) -> int:
-    try:
-        config = load_scenario(args.scenario)
-        validated = validate(config)
-    except ScenarioValidationError as exc:
-        for error in exc.errors:
-            print(f"error: {error}")
-        return EXIT_USAGE
-    except ScenarioError as exc:
-        print(f"error: {exc}")
-        return EXIT_USAGE
+    validated = validate(load_scenario(args.scenario))
     for warning in validated.warnings:
         print(f"warning: {warning}")
     print(

@@ -16,6 +16,9 @@ mandate masks for everyone (once per episode, permanent), or vaccinate a
 single named person (permanent). Compliance was already decided at
 initialization, so applying an action is deterministic: refusers simply
 do not comply, which still consumes the step and any action cost.
+Actions are named tuples ordered by (kind, person id). The legal actions
+of a state are enumerated only by :func:`available_actions`;
+:func:`apply_action_inplace` checks the one action it is given.
 
 Exposure is scattered from the infectious sources: each source visits
 the occupied tiles within the exposure radius and multiplies the miss
@@ -41,7 +44,7 @@ from enum import IntEnum
 from functools import cache
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import attrgetter
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 from .rng import randbelow, substream
 from .scenario import EpiParams, PlannerSettings, ValidatedScenario
@@ -462,8 +465,7 @@ class ActionKind(IntEnum):
     VACCINATE = 2
 
 
-@dataclass(frozen=True, order=True)
-class Action:
+class Action(NamedTuple):
     """One intervention. Ordering is (kind, person_id), which is also the
     deterministic tie-break order everywhere: noop, then the mask
     mandate, then vaccinations by ascending person id."""
@@ -483,6 +485,8 @@ NOOP = Action(ActionKind.NOOP)
 MANDATE_MASKS = Action(ActionKind.MANDATE_MASKS)
 
 _vaccinate_cache: dict[int, Action] = {}
+# Every id below this mark is in _vaccinate_cache.
+_interned_below = 0
 
 
 def vaccinate(person_id: int) -> Action:
@@ -494,8 +498,17 @@ def vaccinate(person_id: int) -> Action:
     return action
 
 
+def _intern_ids_below(n: int) -> None:
+    global _interned_below
+    for person_id in range(_interned_below, n):
+        vaccinate(person_id)
+    _interned_below = n
+
+
 def available_actions(state: SimState, settings: PlannerSettings) -> list[Action]:
-    """Legal actions in ``state``, in canonical order.
+    """Legal actions in ``state``, in canonical order. This is the only
+    place that enumerates them; the random policy and the planner's
+    rollouts draw an index into this list.
 
     Noop is always legal. The mask mandate is legal while masks are
     enabled and no mandate is active yet. Vaccination is legal for each
@@ -507,12 +520,13 @@ def available_actions(state: SimState, settings: PlannerSettings) -> list[Action
     if settings.masks_available and not state.mask_mandate_active:
         actions.append(MANDATE_MASKS)
     if settings.vaccines_available:
-        for p in state.persons:
-            if (
-                not p.vaccinated
-                and (p.compartment is _S or p.compartment is _R)
-            ):
-                actions.append(vaccinate(p.id))
+        persons = state.persons
+        if len(persons) > _interned_below:
+            _intern_ids_below(len(persons))
+        interned = _vaccinate_cache
+        for p in persons:
+            if not p.vaccinated and (p.compartment is _S or p.compartment is _R):
+                actions.append(interned[p.id])
     return actions
 
 

@@ -49,6 +49,7 @@ from .scenario import (
     ScenarioParseError,
     ValidatedScenario,
     _parse_float,
+    _parse_int,
     density,
     load_scenario,
     validate,
@@ -118,9 +119,17 @@ def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
+def _csv_text(text: str) -> str:
+    """A free-text CSV cell, quoted per RFC 4180 when it holds a comma, a
+    double quote or a line break, with inner double quotes doubled."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 # CSV rounds to fixed decimal places; JSON keeps full precision.
 EXPERIMENT_FIELDS: FieldTable = (
-    ("simulation", "simulation", str),
+    ("simulation", "simulation", _csv_text),
     ("N", "n", str),
     ("masks", "masks", _yesno),
     ("vaccines", "vaccines", _yesno),
@@ -161,7 +170,7 @@ class BenchmarkMetrics:
 
 
 BENCHMARK_FIELDS: FieldTable = (
-    ("model", "model", str),
+    ("model", "model", _csv_text),
     ("simulations", "simulations", str),
     ("masks", "masks", _yesno),
     ("vaccines", "vaccines", _yesno),
@@ -233,30 +242,16 @@ def _take(
         return default
     lineno, raw = section.pop(key)
     try:
-        return convert(raw, lineno)
-    except ScenarioParseError:
-        raise
+        return convert(raw)
     except ValueError as exc:
         raise ScenarioParseError(f"bad value for {key!r}: {exc}", lineno) from None
 
 
-def _int_value(raw: str, _lineno: int) -> int:
-    return int(raw, 10)
-
-
-def _float_value(raw: str, _lineno: int) -> float:
-    return _parse_float(raw)
-
-
-def _percent_value(raw: str, lineno: int) -> float:
-    value = _float_value(raw, lineno)
+def _percent_value(raw: str) -> float:
+    value = _parse_float(raw)
     if not 0.0 <= value <= 100.0:
         raise ValueError("must be in [0, 100]")
     return value
-
-
-def _str_value(raw: str, _lineno: int) -> str:
-    return raw
 
 
 def parse_experiment_file(path: str | Path) -> list[ExperimentSpec]:
@@ -272,17 +267,17 @@ def parse_experiment_file(path: str | Path) -> list[ExperimentSpec]:
     for header, header_line, section in _read_sections(path.read_text(encoding="utf-8-sig")):
         if header != "experiment":
             raise ScenarioParseError(f"unknown section [{header}]", header_line)
-        scenario_rel = _take(section, "scenario", _str_value, header_line, required=True)
+        scenario_rel = _take(section, "scenario", str, header_line, required=True)
         scenario = load_scenario(path.parent / scenario_rel)
         variations = _parse_variations(
-            _take(section, "variations", _str_value, header_line, default="none"),
+            _take(section, "variations", str, header_line, default="none"),
             header_line,
         )
-        runs = _take(section, "runs", _int_value, header_line, default=3)
+        runs = _take(section, "runs", _parse_int, header_line, default=3)
         if runs < 1:
             raise ScenarioParseError("runs must be >= 1", header_line)
-        label = _take(section, "label", _str_value, header_line, default=scenario.name)
-        seed = _take(section, "seed", _int_value, header_line, default=None)
+        label = _take(section, "label", str, header_line, default=scenario.name)
+        seed = _take(section, "seed", _parse_int, header_line, default=None)
         if section:
             key = next(iter(section))
             raise ScenarioParseError(
@@ -306,27 +301,27 @@ def parse_benchmark_file(path: str | Path) -> list[SchoolBenchmarkSpec]:
     for header, header_line, section in _read_sections(path.read_text(encoding="utf-8-sig")):
         if header != "school":
             raise ScenarioParseError(f"unknown section [{header}]", header_line)
-        name = _take(section, "name", _str_value, header_line, required=True)
-        enrollment = _take(section, "enrollment", _int_value, header_line, required=True)
-        per_room = _take(section, "per_room", _int_value, header_line, required=True)
-        grid_x = _take(section, "grid_x", _int_value, header_line, required=True)
-        grid_y = _take(section, "grid_y", _int_value, header_line, required=True)
+        name = _take(section, "name", str, header_line, required=True)
+        enrollment = _take(section, "enrollment", _parse_int, header_line, required=True)
+        per_room = _take(section, "per_room", _parse_int, header_line, required=True)
+        grid_x = _take(section, "grid_x", _parse_int, header_line, required=True)
+        grid_y = _take(section, "grid_y", _parse_int, header_line, required=True)
         true_pos = _take(section, "true_pos_pct", _percent_value, header_line, required=True)
         variations = _parse_variations(
-            _take(section, "variations", _str_value, header_line, default="none"),
+            _take(section, "variations", str, header_line, default="none"),
             header_line,
         )
         planner = PlannerSettings(rounds=1)
         planner = replace(
             planner,
-            horizon=_take(section, "horizon", _int_value, header_line, default=planner.horizon),
-            rounds=_take(section, "rounds", _int_value, header_line, default=planner.rounds),
+            horizon=_take(section, "horizon", _parse_int, header_line, default=planner.horizon),
+            rounds=_take(section, "rounds", _parse_int, header_line, default=planner.rounds),
             uct_iterations=_take(
-                section, "uct_iterations", _int_value, header_line,
+                section, "uct_iterations", _parse_int, header_line,
                 default=planner.uct_iterations,
             ),
             uct_exploration=_take(
-                section, "uct_exploration", _float_value, header_line,
+                section, "uct_exploration", _parse_float, header_line,
                 default=planner.uct_exploration,
             ),
         )

@@ -1,7 +1,10 @@
 """Rewards, the embedded anytime planner and the episode driver.
 
 The actions themselves live in :mod:`gridepi.dynamics`, which applies
-them at the start of each step; they are re-exported here.
+them at the start of each step; they are re-exported here. The legal
+actions of a state are listed only by :func:`available_actions`: the
+tree expands and selects over that list, and rollouts and the random
+policy draw an index into it.
 
 The planner is an open-loop UCT search. Tree nodes sit on action edges;
 environment stochasticity is re-sampled on every descent from the
@@ -22,7 +25,6 @@ from .dynamics import (
     NOOP,
     Action,
     ActionKind,
-    Compartment,
     IllegalActionError,
     SimState,
     StepEvent,
@@ -53,9 +55,6 @@ __all__ = [
     "EpisodeResult",
     "POLICIES",
 ]
-
-_S = Compartment.S
-_R = Compartment.R
 
 POLICIES = ("planner", "noop", "random")
 
@@ -100,31 +99,11 @@ class SearchNode:
         return self.total_return / self.visit_count if self.visit_count else 0.0
 
 
-def _vaccinations(state: SimState, settings: PlannerSettings) -> list[Action]:
-    """``vaccinate(id)`` of every person, in id order, for
-    :func:`_random_action`; empty when vaccines are not available."""
-    if not settings.vaccines_available:
-        return []
-    return [vaccinate(p.id) for p in state.persons]
-
-
-def _random_action(
-    state: SimState, settings: PlannerSettings, vaccinations: list[Action], getrandbits
-) -> Action:
+def _random_action(state: SimState, settings: PlannerSettings, getrandbits) -> Action:
     """Uniformly random legal action, drawn exactly as
-    ``actions[rng.randrange(len(actions))]`` over
-    ``actions = available_actions(state, settings)`` draws it, without
-    building that list: noop, the mask mandate while it is legal, then
-    the vaccination of every eligible person in id order."""
-    eligible = []
-    for p, a in zip(state.persons, vaccinations):
-        if not p.vaccinated and (p.compartment is _S or p.compartment is _R):
-            eligible.append(a)
-    head = 2 if settings.masks_available and not state.mask_mandate_active else 1
-    index = randbelow(getrandbits, head + len(eligible))
-    if index >= head:
-        return eligible[index - head]
-    return MANDATE_MASKS if index else NOOP
+    ``actions[rng.randrange(len(actions))]`` draws it."""
+    actions = available_actions(state, settings)
+    return actions[randbelow(getrandbits, len(actions))]
 
 
 def _advance(
@@ -155,14 +134,9 @@ def _rollout(
     horizon: int,
 ) -> float:
     total = 0.0
-    if not settings.masks_available and not settings.vaccines_available:
-        while sim.step < horizon:
-            total += _advance(sim, NOOP, validated, settings, rng)
-        return total
     getrandbits = rng.getrandbits
-    vaccinations = _vaccinations(sim, settings)
     while sim.step < horizon:
-        action = _random_action(sim, settings, vaccinations, getrandbits)
+        action = _random_action(sim, settings, getrandbits)
         total += _advance(sim, action, validated, settings, rng)
     return total
 
@@ -197,17 +171,6 @@ def plan_with_stats(
     validated = validated.with_planner(settings)
     horizon = settings.horizon
 
-    def stats_for(root: SearchNode) -> dict:
-        per_action = [
-            {
-                "action": a.describe(),
-                "visits": root.children[a].visit_count,
-                "mean_return": root.children[a].mean_return,
-            }
-            for a in sorted(root.children)
-        ]
-        return {"root_visits": root.visit_count, "per_action": per_action}
-
     if settings.uct_iterations <= 0 or state.step >= horizon:
         return NOOP, {"root_visits": 0, "per_action": []}
     root_actions = available_actions(state, settings)
@@ -240,14 +203,19 @@ def plan_with_stats(
             visited.visit_count += 1
             visited.total_return += total
 
-    best_action = NOOP
-    best_visits = -1
-    for action in sorted(root.children):
-        visits = root.children[action].visit_count
-        if visits > best_visits:
-            best_visits = visits
-            best_action = action
-    return best_action, stats_for(root)
+    children = root.children
+    ranked = sorted(children)
+    per_action = [
+        {
+            "action": a.describe(),
+            "visits": children[a].visit_count,
+            "mean_return": children[a].mean_return,
+        }
+        for a in ranked
+    ]
+    # max() keeps the first of equals: ties go to the canonical order.
+    best_action = max(ranked, key=lambda a: children[a].visit_count)
+    return best_action, {"root_visits": root.visit_count, "per_action": per_action}
 
 
 def plan(
@@ -329,12 +297,11 @@ def run_episode(
         trajectory.record(state)
         events: list[StepEvent] | None = [] if collect_events else None
         decisions: list[dict] = []
-        vaccinations = _vaccinations(state, settings)
         for t in range(settings.horizon):
             if policy == "noop":
                 action = NOOP
             elif policy == "random":
-                action = _random_action(state, settings, vaccinations, plan_rng.getrandbits)
+                action = _random_action(state, settings, plan_rng.getrandbits)
             else:
                 action, stats = plan_with_stats(state, validated, settings, plan_rng)
                 if collect_decisions:

@@ -476,6 +476,15 @@ def serialize_scenario(config: ScenarioConfig) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _walkable_neighbors(grid: GridMap, x: int, y: int) -> tuple[tuple[int, int], ...]:
+    """Walkable 4-neighbors of tile (x, y) in the fixed left/right/down/up order."""
+    return tuple(
+        (x + dx, y + dy)
+        for dx, dy in _DIRECTIONS
+        if grid.in_bounds(x + dx, y + dy) and grid.is_walkable(x + dx, y + dy)
+    )
+
+
 def neighbors(grid: GridMap, pos: tuple[int, int]) -> set[tuple[int, int]]:
     """Walkable 4-neighborhood of an in-bounds tile.
 
@@ -485,12 +494,7 @@ def neighbors(grid: GridMap, pos: tuple[int, int]) -> set[tuple[int, int]]:
     x, y = pos
     if not grid.in_bounds(x, y):
         raise ValueError(f"position {pos} out of bounds")
-    result = set()
-    for dx, dy in _DIRECTIONS:
-        nx, ny = x + dx, y + dy
-        if grid.in_bounds(nx, ny) and grid.is_walkable(nx, ny):
-            result.add((nx, ny))
-    return result
+    return set(_walkable_neighbors(grid, x, y))
 
 
 def validate(config: ScenarioConfig) -> ValidatedScenario:
@@ -563,13 +567,7 @@ def validate(config: ScenarioConfig) -> ValidatedScenario:
         warnings.append("no initially infectious person; nothing will spread")
 
     adjacency = {
-        pos: tuple(
-            (pos[0] + dx, pos[1] + dy)
-            for dx, dy in _DIRECTIONS
-            if grid.in_bounds(pos[0] + dx, pos[1] + dy)
-            and grid.is_walkable(pos[0] + dx, pos[1] + dy)
-        )
-        for pos in grid.walkable_positions()
+        pos: _walkable_neighbors(grid, *pos) for pos in grid.walkable_positions()
     }
 
     return ValidatedScenario(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import subprocess
 import sys
@@ -260,6 +261,17 @@ def test_experiment_runs_override(sweep, capsys):
     assert EXPERIMENT_CSV_HEADER in capsys.readouterr().out
 
 
+def test_experiment_label_with_comma_stays_one_cell(tmp_path, tiny, capsys):
+    path = tmp_path / "comma.exp"
+    path.write_text(
+        "[experiment]\nscenario = tiny.scn\nruns = 1\nlabel = room,A\n", encoding="utf-8"
+    )
+    assert cli_main(["experiment", str(path)]) == EXIT_OK
+    header, row = csv.reader(capsys.readouterr().out.splitlines())
+    assert len(header) == len(row) == 9
+    assert row[0] == "room,A"
+
+
 def test_experiment_bad_spec_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.exp"
     bad.write_text("[experiment]\nruns = 3\n", encoding="utf-8")
@@ -285,6 +297,19 @@ def test_benchmark_output(bench, capsys):
     assert lines[0] == BENCHMARK_CSV_HEADER
     assert lines[1].startswith("Tiny-MDP-1,2,no,no,6,6,")
     assert lines[2].startswith("Tiny-MDP-2,2,yes,yes,6,6,")
+
+
+def test_benchmark_name_with_comma_stays_one_cell(tmp_path, capsys):
+    path = tmp_path / "comma.bench"
+    path.write_text(
+        "[school]\nname = A,B\nenrollment = 2\nper_room = 1\n"
+        "grid_x = 2\ngrid_y = 2\ntrue_pos_pct = 50.0\nhorizon = 2\n",
+        encoding="utf-8",
+    )
+    assert cli_main(["benchmark", str(path)]) == EXIT_OK
+    header, row = csv.reader(capsys.readouterr().out.splitlines())
+    assert len(header) == len(row) == 9
+    assert row[0] == "A,B-MDP-1"
 
 
 def test_benchmark_non_finite_positivity_exits_one(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import replace
 
@@ -393,6 +394,17 @@ def test_emit_benchmark_csv_formatting():
     lines = text.splitlines()
     assert lines[0] == BENCHMARK_CSV_HEADER
     assert lines[1] == "Tiny-MDP-1,13,no,no,105,104,41.7,21.2,20.5"
+
+
+def test_emit_csv_quotes_free_text_cells():
+    labels = ['say "hi", A', "two\nlines", "plain"]
+    text = emit_results([_experiment_row(simulation=label) for label in labels])
+    assert text.splitlines()[1] == '"say ""hi"", A",8,yes,no,16,20,0.38,62.2,0.12'
+    rows = list(csv.reader(text.splitlines(keepends=True)))
+    assert [row[0] for row in rows[1:]] == labels
+    assert all(len(row) == 9 for row in rows)
+    payload = json.loads(emit_results([_experiment_row(simulation=labels[0])], fmt="json"))
+    assert payload["results"][0]["simulation"] == labels[0]
 
 
 def test_emit_json_keeps_full_precision():

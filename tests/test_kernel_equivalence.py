@@ -23,7 +23,7 @@ from gridepi.dynamics import (
     exposure_probability,
     init_state,
 )
-from gridepi.planner import _random_action, _vaccinations, available_actions
+from gridepi.planner import _random_action, available_actions
 from gridepi.rng import randbelow
 from gridepi.scenario import EpiParams, PlannerSettings, parse_scenario, validate
 
@@ -139,11 +139,10 @@ def test_random_action_draws_like_available_actions(seed, masks, vaccines, manda
     settings_ = PlannerSettings(masks_available=masks, vaccines_available=vaccines)
     fast = random.Random(seed)
     reference = random.Random(seed)
-    vaccinations = _vaccinations(state, settings_)
     for _ in range(5):
         actions = available_actions(state, settings_)
         expected = actions[reference.randrange(len(actions))]
-        assert _random_action(state, settings_, vaccinations, fast.getrandbits) is expected
+        assert _random_action(state, settings_, fast.getrandbits) is expected
         assert fast.getstate() == reference.getstate()
 
 

@@ -350,6 +350,19 @@ def test_plan_stats_account_for_every_iteration():
     assert all(row["visits"] >= 1 for row in stats["per_action"])
 
 
+def test_plan_breaks_visit_ties_by_canonical_order():
+    # one iteration per root action gives every child exactly one visit,
+    # so the choice falls to the first action in canonical order
+    v = _small_space()
+    state = init_state(v, 0)
+    settings = replace(v.planner, uct_iterations=len(available_actions(state, v.planner)))
+    action, stats = plan_with_stats(state, v, settings, substream(3, "plan"))
+    assert action is NOOP
+    labels = [row["action"] for row in stats["per_action"]]
+    assert labels == ["noop", "mandate_masks", "vaccinate:0", "vaccinate:1", "vaccinate:3"]
+    assert [row["visits"] for row in stats["per_action"]] == [1] * 5
+
+
 def test_plan_invariant_under_joint_reward_scaling():
     # multiplying the penalties and the exploration constant by the same
     # factor rescales every UCB term identically, so the search makes the
