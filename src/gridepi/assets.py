@@ -5,17 +5,10 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
-__all__ = ["asset_path", "asset_text", "list_assets"]
+__all__ = ["asset_path"]
 
 
 def asset_path(name: str) -> Path:
     """Filesystem path of a bundled asset (the package installs flat)."""
     return Path(str(resources.files(__package__) / "assets" / name))
 
-
-def asset_text(name: str) -> str:
-    return asset_path(name).read_text(encoding="utf-8")
-
-
-def list_assets() -> list[str]:
-    return sorted(p.name for p in asset_path("").iterdir() if p.is_file())

@@ -142,14 +142,8 @@ def _cmd_simulate(args) -> int:
     config = load_scenario(args.scenario)
     settings = config.planner
     if args.rounds is not None:
-        if args.rounds < 1:
-            print("error: --rounds must be >= 1")
-            return EXIT_USAGE
         settings = replace(settings, rounds=args.rounds)
     if args.horizon is not None:
-        if args.horizon < 0:
-            print("error: --horizon must be >= 0")
-            return EXIT_USAGE
         settings = replace(settings, horizon=args.horizon)
     validated = validate(config)
     for warning in validated.warnings:
@@ -218,15 +212,6 @@ def _cmd_oracle_ode(args) -> int:
     v0 = oracle.CompartmentVector.from_counts(
         args.s0, args.e0, args.i0, args.r0, args.d0
     )
-    if v0.n <= 0:
-        print("error: initial population must be positive")
-        return EXIT_USAGE
-    if args.dt <= 0:
-        print("error: --dt must be positive")
-        return EXIT_USAGE
-    if args.steps < 0:
-        print("error: --steps must be >= 0")
-        return EXIT_USAGE
     params = EpiParams(beta=args.beta, sigma=args.sigma, gamma=args.gamma, mu=args.mu)
     curve = oracle.seird_integrate(v0, params, args.dt, args.steps, args.mode)
     lines = ["t,S,E,I,R,D"]

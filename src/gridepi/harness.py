@@ -23,6 +23,11 @@ section per site::
     true_pos_pct=21.2
     variations=none,masks,masks+vaccines
 
+The optional ``[school]`` keys ``horizon``, ``rounds``, ``uct_iterations``
+and ``uct_exploration`` set the classroom planner budget (default: one
+round) and follow the same rules as in a scenario's ``[planner]``
+section. Every value is checked on its own line as the file is read.
+
 The school is modeled as identical fully walkable classrooms, one
 simulation per room, with rooms = round-half-to-even(enrollment /
 per_room) and the estimated population N_est = per_room * rooms.
@@ -43,15 +48,18 @@ from .rng import stable_seed
 from .scenario import (
     EpiParams,
     GridMap,
+    PLANNER_RULES,
     Placement,
     PlannerSettings,
     ScenarioConfig,
     ScenarioParseError,
     ValidatedScenario,
+    _any,
     _parse_float,
     _parse_int,
     density,
     load_scenario,
+    parse_value,
     validate,
 )
 
@@ -188,18 +196,61 @@ BENCHMARK_CSV_HEADER = csv_header(BENCHMARK_FIELDS)
 # ---------------------------------------------------------------------------
 
 
-def _read_sections(text: str) -> list[tuple[str, int, dict[str, tuple[int, str]]]]:
-    """Split sectioned key=value text into (header, line, {key: (line, value)});
-    repeated headers are allowed."""
-    sections: list[tuple[str, int, dict[str, tuple[int, str]]]] = []
-    current: dict[str, tuple[int, str]] | None = None
+def _parse_variations(text: str) -> tuple[tuple[bool, bool], ...]:
+    tokens = [t.strip() for t in text.split(",") if t.strip()]
+    if not tokens:
+        raise ValueError("variations list is empty")
+    for token in tokens:
+        if token not in VARIATIONS:
+            raise ValueError(
+                f"unknown variation {token!r}; expected one of {sorted(VARIATIONS)}"
+            )
+    return tuple(VARIATIONS[token] for token in tokens)
+
+
+# key -> (converter, range predicate, range description), as in
+# scenario.PARAM_RULES
+EXPERIMENT_RULES: dict[str, tuple] = {
+    "scenario": (str, _any, ""),
+    "variations": (_parse_variations, _any, ""),
+    "runs": (_parse_int, lambda v: v >= 1, "must be >= 1"),
+    "label": (str, _any, ""),
+    "seed": (_parse_int, _any, ""),
+}
+
+SCHOOL_RULES: dict[str, tuple] = {
+    "name": (str, _any, ""),
+    "enrollment": (_parse_int, lambda v: v >= 1, "must be >= 1"),
+    "per_room": (_parse_int, lambda v: v >= 1, "must be >= 1"),
+    "grid_x": (_parse_int, lambda v: v >= 1, "must be >= 1"),
+    "grid_y": (_parse_int, lambda v: v >= 1, "must be >= 1"),
+    "true_pos_pct": (_parse_float, lambda v: 0.0 <= v <= 100.0, "must be in [0, 100]"),
+    "variations": (_parse_variations, _any, ""),
+    # classroom planner overrides follow the scenario [planner] rules
+    **{
+        key: PLANNER_RULES[key]
+        for key in ("horizon", "rounds", "uct_iterations", "uct_exploration")
+    },
+}
+
+
+def _read_sections(
+    text: str, header: str, rules: dict[str, tuple]
+) -> list[tuple[int, dict[str, object]]]:
+    """Split sectioned key=value text into (header line, {key: value}), one
+    per repeated ``[header]`` section; each value is converted and
+    range-checked by ``rules`` on its own line."""
+    sections: list[tuple[int, dict[str, object]]] = []
+    current: dict[str, object] | None = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         content = raw.split("#", 1)[0].strip()
         if not content:
             continue
         if content.startswith("[") and content.endswith("]") and len(content) > 2:
+            if content[1:-1] != header:
+                raise ScenarioParseError(f"unknown section {content}", lineno)
             current = {}
-            sections.append((content[1:-1], lineno, current))
+            sections.append((lineno, current))
             continue
         if current is None:
             raise ScenarioParseError("content before first section", lineno)
@@ -209,49 +260,18 @@ def _read_sections(text: str) -> list[tuple[str, int, dict[str, tuple[int, str]]
         key = key.strip()
         if key in current:
             raise ScenarioParseError(f"duplicate key {key!r}", lineno)
-        current[key] = (lineno, value.strip())
+        if key not in rules:
+            raise ScenarioParseError(f"unknown key {key!r} in [{header}]", lineno)
+        current[key] = parse_value(rules, key, value.strip(), lineno)
+    if not sections:
+        raise ScenarioParseError(f"no [{header}] sections found")
     return sections
 
 
-def _parse_variations(token_list: str, lineno: int) -> tuple[tuple[bool, bool], ...]:
-    tokens = [t.strip() for t in token_list.split(",") if t.strip()]
-    if not tokens:
-        raise ScenarioParseError("variations list is empty", lineno)
-    out = []
-    for token in tokens:
-        if token not in VARIATIONS:
-            raise ScenarioParseError(
-                f"unknown variation {token!r}; expected one of {sorted(VARIATIONS)}",
-                lineno,
-            )
-        out.append(VARIATIONS[token])
-    return tuple(out)
-
-
-def _take(
-    section: dict[str, tuple[int, str]],
-    key: str,
-    convert,
-    header_line: int,
-    default=None,
-    required: bool = False,
-):
-    if key not in section:
-        if required:
+def _require(values: dict[str, object], keys: tuple[str, ...], header_line: int) -> None:
+    for key in keys:
+        if key not in values:
             raise ScenarioParseError(f"missing key {key!r}", header_line)
-        return default
-    lineno, raw = section.pop(key)
-    try:
-        return convert(raw)
-    except ValueError as exc:
-        raise ScenarioParseError(f"bad value for {key!r}: {exc}", lineno) from None
-
-
-def _percent_value(raw: str) -> float:
-    value = _parse_float(raw)
-    if not 0.0 <= value <= 100.0:
-        raise ValueError("must be in [0, 100]")
-    return value
 
 
 def parse_experiment_file(path: str | Path) -> list[ExperimentSpec]:
@@ -263,29 +283,20 @@ def parse_experiment_file(path: str | Path) -> list[ExperimentSpec]:
         OSError: If the file or a referenced scenario cannot be read.
     """
     path = Path(path)
+    text = path.read_text(encoding="utf-8-sig")
     specs: list[ExperimentSpec] = []
-    for header, header_line, section in _read_sections(path.read_text(encoding="utf-8-sig")):
-        if header != "experiment":
-            raise ScenarioParseError(f"unknown section [{header}]", header_line)
-        scenario_rel = _take(section, "scenario", str, header_line, required=True)
-        scenario = load_scenario(path.parent / scenario_rel)
-        variations = _parse_variations(
-            _take(section, "variations", str, header_line, default="none"),
-            header_line,
-        )
-        runs = _take(section, "runs", _parse_int, header_line, default=3)
-        if runs < 1:
-            raise ScenarioParseError("runs must be >= 1", header_line)
-        label = _take(section, "label", str, header_line, default=scenario.name)
-        seed = _take(section, "seed", _parse_int, header_line, default=None)
-        if section:
-            key = next(iter(section))
-            raise ScenarioParseError(
-                f"unknown key {key!r} in [experiment]", section[key][0]
+    for header_line, values in _read_sections(text, "experiment", EXPERIMENT_RULES):
+        _require(values, ("scenario",), header_line)
+        scenario = load_scenario(path.parent / values["scenario"])
+        specs.append(
+            ExperimentSpec(
+                values.get("label", scenario.name),
+                scenario,
+                values.get("variations", (VARIATIONS["none"],)),
+                values.get("runs", 3),
+                values.get("seed"),
             )
-        specs.append(ExperimentSpec(label, scenario, variations, runs, seed))
-    if not specs:
-        raise ScenarioParseError("no [experiment] sections found")
+        )
     return specs
 
 
@@ -293,57 +304,28 @@ def parse_benchmark_file(path: str | Path) -> list[SchoolBenchmarkSpec]:
     """Parse a school benchmark file.
 
     Optional keys horizon, rounds, uct_iterations, and uct_exploration
-    override the classroom planner settings; everything else uses the
-    defaults.
+    override the classroom planner settings under the scenario
+    ``[planner]`` rules; everything else uses the defaults.
     """
-    path = Path(path)
+    text = Path(path).read_text(encoding="utf-8-sig")
     specs: list[SchoolBenchmarkSpec] = []
-    for header, header_line, section in _read_sections(path.read_text(encoding="utf-8-sig")):
-        if header != "school":
-            raise ScenarioParseError(f"unknown section [{header}]", header_line)
-        name = _take(section, "name", str, header_line, required=True)
-        enrollment = _take(section, "enrollment", _parse_int, header_line, required=True)
-        per_room = _take(section, "per_room", _parse_int, header_line, required=True)
-        grid_x = _take(section, "grid_x", _parse_int, header_line, required=True)
-        grid_y = _take(section, "grid_y", _parse_int, header_line, required=True)
-        true_pos = _take(section, "true_pos_pct", _percent_value, header_line, required=True)
-        variations = _parse_variations(
-            _take(section, "variations", str, header_line, default="none"),
+    for header_line, values in _read_sections(text, "school", SCHOOL_RULES):
+        _require(
+            values,
+            ("name", "enrollment", "per_room", "grid_x", "grid_y", "true_pos_pct"),
             header_line,
         )
-        planner = PlannerSettings(rounds=1)
-        planner = replace(
-            planner,
-            horizon=_take(section, "horizon", _parse_int, header_line, default=planner.horizon),
-            rounds=_take(section, "rounds", _parse_int, header_line, default=planner.rounds),
-            uct_iterations=_take(
-                section, "uct_iterations", _parse_int, header_line,
-                default=planner.uct_iterations,
-            ),
-            uct_exploration=_take(
-                section, "uct_exploration", _parse_float, header_line,
-                default=planner.uct_exploration,
-            ),
-        )
-        if section:
-            key = next(iter(section))
-            raise ScenarioParseError(f"unknown key {key!r} in [school]", section[key][0])
-        if enrollment < 1:
-            raise ScenarioParseError("enrollment must be >= 1", header_line)
-        if per_room < 1:
-            raise ScenarioParseError("per_room must be >= 1", header_line)
-        if per_room > grid_x * grid_y:
+        if values["per_room"] > values["grid_x"] * values["grid_y"]:
             raise ScenarioParseError(
                 "per_room exceeds the classroom tile count", header_line
             )
+        overrides = {key: values.pop(key) for key in list(values) if key in PLANNER_RULES}
+        values.setdefault("variations", (VARIATIONS["none"],))
         specs.append(
             SchoolBenchmarkSpec(
-                name, enrollment, per_room, grid_x, grid_y, true_pos,
-                variations, planner,
+                **values, planner=replace(PlannerSettings(rounds=1), **overrides)
             )
         )
-    if not specs:
-        raise ScenarioParseError("no [school] sections found")
     return specs
 
 

@@ -76,6 +76,18 @@ class CompartmentVector:
         return self.s + self.e + self.i + self.r + self.d
 
 
+def _check_step_inputs(v: CompartmentVector, dt: float, mode: str) -> None:
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    if v.n <= 0.0:
+        raise ValueError("population n must be positive")
+    for value in (v.s, v.e, v.i, v.r, v.d):
+        if not math.isfinite(value):
+            raise ValueError("compartment values must be finite")
+
+
 def seird_euler_step(
     v: CompartmentVector, params: EpiParams, dt: float, mode: str = "conserving"
 ) -> CompartmentVector:
@@ -91,16 +103,7 @@ def seird_euler_step(
         ValueError: On an unknown mode, non-positive dt, non-positive n,
             or non-finite inputs.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if v.n <= 0.0:
-        raise ValueError("population n must be positive")
-    for value in (v.s, v.e, v.i, v.r, v.d):
-        if not math.isfinite(value):
-            raise ValueError("compartment values must be finite")
-
+    _check_step_inputs(v, dt, mode)
     beta, sigma, gamma, mu = params.beta, params.sigma, params.gamma, params.mu
     if mode == "literal":
         ds = -beta * (v.s / v.n) * v.i
@@ -132,9 +135,11 @@ def seird_integrate(
     mode: str = "conserving",
 ) -> list[CompartmentVector]:
     """Integrate for ``steps`` Euler steps; returns steps + 1 vectors
-    starting with ``v0`` itself."""
+    starting with ``v0`` itself. The inputs are checked as in
+    :func:`seird_euler_step` even when ``steps`` is 0."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
+    _check_step_inputs(v0, dt, mode)
     out = [v0]
     v = v0
     for _ in range(steps):
@@ -207,21 +212,20 @@ def _person_outcomes(index, sim, params):
 
 
 def enumerate_exact(
-    validated: ValidatedScenario, horizon: int, policy: str = "noop"
+    validated: ValidatedScenario, horizon: int
 ) -> OutcomeDistribution:
     """Exact distribution over the census after ``horizon`` steps.
 
     Only defined for static micro-scenarios: at most MAX_ENUM_PERSONS
-    persons, at most MAX_ENUM_TILES walkable tiles, p_mv = 0, and the
-    noop policy. With movement off, positions are constant and the joint
-    compartment assignment is a complete state, so the step operator is a
-    product of independent per-person transition distributions.
+    persons, at most MAX_ENUM_TILES walkable tiles and p_mv = 0; no
+    intervention is applied (the noop policy). With movement off,
+    positions are constant and the joint compartment assignment is a
+    complete state, so the step operator is a product of independent
+    per-person transition distributions.
 
     Raises:
         ValueError: If any guard is violated or horizon is negative.
     """
-    if policy != "noop":
-        raise ValueError("exact enumeration supports only the noop policy")
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     if validated.population > MAX_ENUM_PERSONS:

@@ -229,12 +229,20 @@ class ValidatedScenario:
         return self.config.name
 
     def with_planner(self, settings: PlannerSettings) -> "ValidatedScenario":
-        """Same scenario with swapped planner settings (shares lookups)."""
+        """Same scenario with swapped planner settings (shares lookups).
+
+        Raises:
+            ScenarioValidationError: If ``settings`` break a ``[planner]`` rule.
+        """
+        errors = _planner_errors(settings)
+        if errors:
+            raise ScenarioValidationError(errors)
         return replace(self, config=replace(self.config, planner=settings))
 
 
 # ---------------------------------------------------------------------------
-# Value parsing and range rules (shared by the parser and validate())
+# Value parsing and range rules (shared by every parser, validate() and
+# with_planner())
 # ---------------------------------------------------------------------------
 
 
@@ -262,6 +270,10 @@ def _in_unit(v: float) -> bool:
     return 0.0 <= v <= 1.0
 
 
+def _any(v: object) -> bool:
+    return True
+
+
 # key -> (converter, range predicate, range description)
 PARAM_RULES: dict[str, tuple] = {
     "beta": (_parse_float, _in_unit, "must be in [0, 1]"),
@@ -280,8 +292,8 @@ PARAM_RULES: dict[str, tuple] = {
 }
 
 PLANNER_RULES: dict[str, tuple] = {
-    "masks_available": (_parse_bool, lambda v: True, ""),
-    "vaccines_available": (_parse_bool, lambda v: True, ""),
+    "masks_available": (_parse_bool, _any, ""),
+    "vaccines_available": (_parse_bool, _any, ""),
     "pen_i": (_parse_float, lambda v: v < 0.0, "must be negative"),
     "pen_d": (_parse_float, lambda v: v < 0.0, "must be negative"),
     "cost_mask_action": (_parse_float, lambda v: v <= 0.0, "must be <= 0"),
@@ -294,6 +306,35 @@ PLANNER_RULES: dict[str, tuple] = {
 }
 
 _SECTION_ORDER = {"grid": 0, "params": 1, "planner": 2}
+
+
+def parse_value(rules: dict[str, tuple], key: str, text: str, lineno: int) -> object:
+    """Convert ``text`` with the rule for ``key`` and check its range.
+
+    Raises:
+        ScenarioParseError: On line ``lineno`` if the conversion fails or
+            the value is out of range.
+    """
+    converter, predicate, description = rules[key]
+    try:
+        value = converter(text)
+    except ValueError as exc:
+        raise ScenarioParseError(f"bad value for {key!r}: {exc}", lineno) from None
+    if not predicate(value):
+        raise ScenarioParseError(f"{key} {description}", lineno)
+    return value
+
+
+def _planner_errors(settings: PlannerSettings) -> list[str]:
+    """Every ``[planner]`` rule that ``settings`` break."""
+    errors = [
+        f"planner.{key} {description}"
+        for key, (_, predicate, description) in PLANNER_RULES.items()
+        if not predicate(getattr(settings, key))
+    ]
+    if settings.pen_d > settings.pen_i:
+        errors.append("planner.pen_d must be <= pen_i (deaths penalized at least as hard)")
+    return errors
 
 
 # ---------------------------------------------------------------------------
@@ -381,14 +422,7 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioConfig:
             raise ScenarioParseError(f"unknown key {key!r} in [{section}]", lineno)
         if key in values[section]:
             raise ScenarioParseError(f"duplicate key {key!r} in [{section}]", lineno)
-        converter, predicate, description = rules[key]
-        try:
-            value = converter(value_text)
-        except ValueError as exc:
-            raise ScenarioParseError(f"bad value for {key!r}: {exc}", lineno) from None
-        if not predicate(value):
-            raise ScenarioParseError(f"{key} {description}", lineno)
-        values[section][key] = value
+        values[section][key] = parse_value(rules, key, value_text, lineno)
 
     if "grid" not in seen:
         raise ScenarioParseError("missing [grid] section")
@@ -523,11 +557,7 @@ def validate(config: ScenarioConfig) -> ValidatedScenario:
     for key, (_, predicate, description) in PARAM_RULES.items():
         if not predicate(getattr(config.params, key)):
             errors.append(f"params.{key} {description}")
-    for key, (_, predicate, description) in PLANNER_RULES.items():
-        if not predicate(getattr(config.planner, key)):
-            errors.append(f"planner.{key} {description}")
-    if config.planner.pen_d > config.planner.pen_i:
-        errors.append("planner.pen_d must be <= pen_i (deaths penalized at least as hard)")
+    errors.extend(_planner_errors(config.planner))
 
     n = len(config.placements)
     ids = sorted(pl.person_id for pl in config.placements)

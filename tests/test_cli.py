@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from gridepi import assets
+from gridepi import assets, harness
 from gridepi.cli import DEFAULT_SEED, EXIT_IO, EXIT_OK, EXIT_USAGE, cli_main
 from gridepi.dynamics import TRAJECTORY_HEADER
 from gridepi.harness import BENCHMARK_CSV_HEADER, EXPERIMENT_CSV_HEADER
@@ -204,7 +204,12 @@ def test_simulate_horizon_override(tmp_path, micro, capsys):
 
 def test_simulate_rejects_bad_rounds(micro, capsys):
     assert cli_main(["simulate", micro, "--rounds", "0"]) == EXIT_USAGE
-    assert "error:" in capsys.readouterr().out
+    assert capsys.readouterr().out == "error: planner.rounds must be >= 1\n"
+
+
+def test_simulate_rejects_negative_horizon(micro, capsys):
+    assert cli_main(["simulate", micro, "--horizon", "-1"]) == EXIT_USAGE
+    assert capsys.readouterr().out == "error: planner.horizon must be >= 0\n"
 
 
 def test_simulate_missing_scenario_exits_two(capsys):
@@ -323,6 +328,20 @@ def test_benchmark_non_finite_positivity_exits_one(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("error: line 7: ")
 
 
+def test_benchmark_bad_second_school_simulates_nothing(tmp_path, capsys, monkeypatch):
+    school = (
+        "[school]\nname = {}\nenrollment = 6\nper_room = 3\n"
+        "grid_x = 2\ngrid_y = 2\ntrue_pos_pct = 50.0\nhorizon = 2\n"
+    )
+    path = tmp_path / "two.bench"
+    path.write_text(school.format("A") + school.format("B") + "rounds = 0\n", encoding="utf-8")
+    simulated = []
+    monkeypatch.setattr(harness, "simulate_school", lambda *args: simulated.append(args))
+    assert cli_main(["benchmark", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().out == "error: line 17: rounds must be >= 1\n"
+    assert simulated == []
+
+
 def test_benchmark_deterministic(bench, capsys):
     assert cli_main(["benchmark", bench, "--seed", "8"]) == EXIT_OK
     first = capsys.readouterr().out
@@ -372,6 +391,11 @@ def test_oracle_ode_validates_arguments(capsys):
     )
     capsys.readouterr()
     assert cli_main(["oracle", "ode", "--mode", "midpoint"]) == EXIT_USAGE
+
+
+def test_oracle_ode_checks_dt_without_steps(capsys):
+    assert cli_main(["oracle", "ode", "--steps", "0", "--dt", "0"]) == EXIT_USAGE
+    assert capsys.readouterr().out == "error: dt must be positive\n"
 
 
 def test_oracle_enumerate_distribution(micro, capsys):

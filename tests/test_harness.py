@@ -63,6 +63,10 @@ variations = none
 """
 
 
+# the second school's header is line 10 and its last line is 17
+TWO_SCHOOLS = ONE_SCHOOL + "\n" + ONE_SCHOOL.replace("Tiny", "Second")
+
+
 def _write_spec(tmp_path, exp_text=SMALL_EXP, scn_text=TINY_SCN):
     (tmp_path / "tiny.scn").write_text(scn_text, encoding="utf-8")
     spec_path = tmp_path / "sweep.exp"
@@ -161,6 +165,33 @@ def test_parse_experiment_errors(tmp_path, text):
         parse_experiment_file(_write_spec(tmp_path, exp_text=text))
 
 
+@pytest.mark.parametrize(
+    "old, new, line, message",
+    [
+        ("runs = 2", "runs = 0", 4, "runs must be >= 1"),
+        ("runs = 2", "runs = two", 4, "bad value for 'runs': invalid literal"),
+        (
+            "variations = none, masks",
+            "variations = ,",
+            3,
+            "bad value for 'variations': variations list is empty",
+        ),
+        (
+            "variations = none, masks",
+            "variations = none, sometimes",
+            3,
+            "bad value for 'variations': unknown variation 'sometimes'",
+        ),
+    ],
+)
+def test_parse_experiment_errors_on_the_value_line(tmp_path, old, new, line, message):
+    path = _write_spec(tmp_path, exp_text=SMALL_EXP.replace(old, new))
+    with pytest.raises(ScenarioParseError) as info:
+        parse_experiment_file(path)
+    assert info.value.line == line
+    assert str(info.value).startswith(f"line {line}: {message}")
+
+
 def test_parse_experiment_missing_scenario_file(tmp_path):
     spec_path = tmp_path / "sweep.exp"
     spec_path.write_text("[experiment]\nscenario = missing.scn\n", encoding="utf-8")
@@ -226,6 +257,56 @@ def test_parse_benchmark_rejects_bad_floats_on_their_line(tmp_path, line):
     with pytest.raises(ScenarioParseError) as info:
         parse_benchmark_file(path)
     assert info.value.line == 7 + line.count("\n")
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("rounds = 0", "rounds must be >= 1"),
+        ("horizon = -1", "horizon must be >= 0"),
+        ("uct_iterations = -1", "uct_iterations must be >= 0"),
+        ("uct_exploration = 0", "uct_exploration must be positive"),
+    ],
+)
+def test_parse_benchmark_planner_keys_follow_planner_rules(tmp_path, line, message):
+    path = tmp_path / "two.bench"
+    path.write_text(TWO_SCHOOLS + line + "\n", encoding="utf-8")
+    with pytest.raises(ScenarioParseError) as info:
+        parse_benchmark_file(path)
+    assert info.value.line == 18
+    assert str(info.value) == f"line 18: {message}"
+
+
+@pytest.mark.parametrize(
+    "old, new, line, message",
+    [
+        ("grid_x = 6", "grid_x = -2", 5, "grid_x must be >= 1"),
+        ("grid_y = 6", "grid_y = 0", 6, "grid_y must be >= 1"),
+        ("enrollment = 105", "enrollment = 0", 3, "enrollment must be >= 1"),
+        ("per_room = 8", "per_room = 0", 4, "per_room must be >= 1"),
+        ("true_pos_pct = 21.2", "true_pos_pct = 101", 7, "true_pos_pct must be in [0, 100]"),
+        (
+            "variations = none",
+            "variations = all",
+            8,
+            "bad value for 'variations': unknown variation 'all'",
+        ),
+    ],
+)
+def test_parse_benchmark_errors_on_the_value_line(tmp_path, old, new, line, message):
+    path = tmp_path / "one.bench"
+    path.write_text(ONE_SCHOOL.replace(old, new), encoding="utf-8")
+    with pytest.raises(ScenarioParseError) as info:
+        parse_benchmark_file(path)
+    assert info.value.line == line
+    assert str(info.value).startswith(f"line {line}: {message}")
+
+
+def test_parse_benchmark_planner_overrides(tmp_path):
+    path = tmp_path / "one.bench"
+    path.write_text(ONE_SCHOOL + "rounds = 2\nuct_exploration = 2.5\n", encoding="utf-8")
+    (spec,) = parse_benchmark_file(path)
+    assert spec.planner == PlannerSettings(rounds=2, uct_exploration=2.5)
 
 
 def test_parse_skips_leading_byte_order_mark(tmp_path):

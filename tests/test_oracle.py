@@ -121,6 +121,21 @@ def test_euler_step_validation():
         seird_integrate(V0, params, dt=0.1, steps=-1)
 
 
+@pytest.mark.parametrize(
+    "v0, dt, message",
+    [
+        (V0, 0.0, "dt must be positive"),
+        (CompartmentVector(0.0, 0.0, 0.0, 0.0, 0.0, 0.0), 0.1, "population n must be positive"),
+        (CompartmentVector(float("nan"), 0.0, 1.0, 0.0, 0.0, 1.0), 0.1, "must be finite"),
+    ],
+)
+def test_integrate_checks_inputs_without_steps(v0, dt, message):
+    with pytest.raises(ValueError, match=message):
+        seird_integrate(v0, EpiParams(), dt=dt, steps=0)
+    with pytest.raises(ValueError, match="unknown mode"):
+        seird_integrate(V0, EpiParams(), dt=0.1, steps=0, mode="exact")
+
+
 def test_from_counts_sets_population():
     v = CompartmentVector.from_counts(3.0, 2.0, 1.0, 0.0, 0.0)
     assert v.n == 6.0
@@ -193,8 +208,6 @@ def test_enumerate_guards():
     static = _validated(MICRO)
     with pytest.raises(ValueError):
         enumerate_exact(static, -1)
-    with pytest.raises(ValueError):
-        enumerate_exact(static, 3, policy="planner")
 
 
 def test_enumerate_matches_monte_carlo():

@@ -25,6 +25,7 @@ from gridepi.planner import (
 from gridepi.rng import substream
 from gridepi.scenario import (
     PlannerSettings,
+    ScenarioValidationError,
     load_scenario,
     parse_scenario,
     validate,
@@ -299,6 +300,29 @@ def test_plan_zero_budget_returns_noop():
     action, stats = plan_with_stats(state, v, settings, substream(0, "plan"))
     assert action == NOOP
     assert stats == {"root_visits": 0, "per_action": []}
+
+
+@pytest.mark.parametrize(
+    "patch, error",
+    [
+        ({"rounds": 0}, "planner.rounds must be >= 1"),
+        ({"horizon": -1}, "planner.horizon must be >= 0"),
+        ({"uct_exploration": 0.0}, "planner.uct_exploration must be positive"),
+        (
+            {"pen_i": -5.0, "pen_d": -1.0},
+            "planner.pen_d must be <= pen_i (deaths penalized at least as hard)",
+        ),
+    ],
+)
+def test_invalid_settings_are_rejected(patch, error):
+    v = _small_space()
+    settings = replace(v.planner, **patch)
+    with pytest.raises(ScenarioValidationError) as info:
+        run_episode(v, settings, "noop", 0)
+    assert info.value.errors == [error]
+    with pytest.raises(ScenarioValidationError) as info:
+        plan_with_stats(init_state(v, 0), v, settings, substream(0, "plan"))
+    assert info.value.errors == [error]
 
 
 def test_plan_at_horizon_returns_noop():
