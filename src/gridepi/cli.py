@@ -188,9 +188,6 @@ def _cmd_simulate(args) -> int:
 def _cmd_experiment(args) -> int:
     specs = harness.parse_experiment_file(args.specfile)
     if args.runs is not None:
-        if args.runs < 1:
-            print("error: --runs must be >= 1")
-            return EXIT_USAGE
         specs = [replace(spec, runs=args.runs) for spec in specs]
     rows: list[harness.RunMetrics] = []
     for spec in specs:
@@ -226,12 +223,7 @@ def _cmd_oracle_enumerate(args) -> int:
     config = load_scenario(args.scenario)
     validated = validate(config)
     horizon = args.horizon if args.horizon is not None else config.planner.horizon
-    try:
-        distribution = oracle.enumerate_exact(validated, horizon)
-    except ValueError as exc:
-        print(f"error: {exc}")
-        return EXIT_USAGE
-    _write_or_print(distribution.to_json(), args.out)
+    _write_or_print(oracle.enumerate_exact(validated, horizon).to_json(), args.out)
     return EXIT_OK
 
 

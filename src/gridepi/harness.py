@@ -28,6 +28,12 @@ and ``uct_exploration`` set the classroom planner budget (default: one
 round) and follow the same rules as in a scenario's ``[planner]``
 section. Every value is checked on its own line as the file is read.
 
+The spec types check themselves when built (``dataclasses.replace`` too):
+the per-key rules, ``per_room <= grid_x * grid_y``, at least one classroom
+and at least one person in an experiment's scenario. So files, the CLI
+``--runs`` override and library callers meet one check; a reader reports
+it on the section header line.
+
 The school is modeled as identical fully walkable classrooms, one
 simulation per room, with rooms = round-half-to-even(enrollment /
 per_room) and the estimated population N_est = per_room * rooms.
@@ -40,6 +46,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from pathlib import Path
 
 from .dynamics import FieldTable, Trajectory, csv_header, rows_to_csv, rows_to_json
@@ -53,13 +60,16 @@ from .scenario import (
     PlannerSettings,
     ScenarioConfig,
     ScenarioParseError,
+    ScenarioValidationError,
     ValidatedScenario,
     _any,
     _parse_float,
     _parse_int,
+    _planner_errors,
     density,
     load_scenario,
     parse_value,
+    rule_errors,
     validate,
 )
 
@@ -98,6 +108,11 @@ class ExperimentSpec:
     variations: tuple[tuple[bool, bool], ...]
     runs: int = 3
     seed: int | None = None
+
+    def __post_init__(self) -> None:
+        errors = rule_errors(EXPERIMENT_RULES, self)
+        if errors or not self.scenario.placements:
+            raise ScenarioValidationError(errors or ["scenario has no persons"])
 
 
 @dataclass(frozen=True)
@@ -163,6 +178,15 @@ class SchoolBenchmarkSpec:
     variations: tuple[tuple[bool, bool], ...]
     planner: PlannerSettings = PlannerSettings(rounds=1)
 
+    def __post_init__(self) -> None:
+        errors = rule_errors(_SCHOOL_FIELD_RULES, self) + _planner_errors(self.planner)
+        if not errors and self.per_room > self.grid_x * self.grid_y:
+            errors = ["per_room exceeds the classroom tile count"]
+        elif not errors and rooms_for(self.enrollment, self.per_room) < 1:
+            errors = ["enrollment / per_room rounds to 0 classrooms"]
+        if errors:
+            raise ScenarioValidationError(errors)
+
 
 @dataclass(frozen=True)
 class BenchmarkMetrics:
@@ -208,17 +232,23 @@ def _parse_variations(text: str) -> tuple[tuple[bool, bool], ...]:
     return tuple(VARIATIONS[token] for token in tokens)
 
 
+def _path_text(text: str) -> str:
+    if "\0" in text:
+        raise ValueError("embedded null byte")
+    return text
+
+
 # key -> (converter, range predicate, range description), as in
-# scenario.PARAM_RULES
+# scenario.PARAM_RULES; the specs check their own fields with them
 EXPERIMENT_RULES: dict[str, tuple] = {
-    "scenario": (str, _any, ""),
+    "scenario": (_path_text, _any, ""),
     "variations": (_parse_variations, _any, ""),
     "runs": (_parse_int, lambda v: v >= 1, "must be >= 1"),
     "label": (str, _any, ""),
     "seed": (_parse_int, _any, ""),
 }
 
-SCHOOL_RULES: dict[str, tuple] = {
+_SCHOOL_FIELD_RULES: dict[str, tuple] = {
     "name": (str, _any, ""),
     "enrollment": (_parse_int, lambda v: v >= 1, "must be >= 1"),
     "per_room": (_parse_int, lambda v: v >= 1, "must be >= 1"),
@@ -226,6 +256,9 @@ SCHOOL_RULES: dict[str, tuple] = {
     "grid_y": (_parse_int, lambda v: v >= 1, "must be >= 1"),
     "true_pos_pct": (_parse_float, lambda v: 0.0 <= v <= 100.0, "must be in [0, 100]"),
     "variations": (_parse_variations, _any, ""),
+}
+SCHOOL_RULES: dict[str, tuple] = {
+    **_SCHOOL_FIELD_RULES,
     # classroom planner overrides follow the scenario [planner] rules
     **{
         key: PLANNER_RULES[key]
@@ -234,12 +267,13 @@ SCHOOL_RULES: dict[str, tuple] = {
 }
 
 
-def _read_sections(
-    text: str, header: str, rules: dict[str, tuple]
-) -> list[tuple[int, dict[str, object]]]:
-    """Split sectioned key=value text into (header line, {key: value}), one
-    per repeated ``[header]`` section; each value is converted and
-    range-checked by ``rules`` on its own line."""
+def _read_specs(
+    text: str, header: str, rules: dict[str, tuple], required: tuple[str, ...], build
+) -> list:
+    """Build one spec per repeated ``[header]`` section of sectioned
+    key=value text. Each value is converted and range-checked by ``rules``
+    on its own line; a missing ``required`` key and the spec's own rule
+    errors, raised by ``build(values)``, are reported on the header line."""
     sections: list[tuple[int, dict[str, object]]] = []
     current: dict[str, object] | None = None
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -265,13 +299,16 @@ def _read_sections(
         current[key] = parse_value(rules, key, value.strip(), lineno)
     if not sections:
         raise ScenarioParseError(f"no [{header}] sections found")
-    return sections
-
-
-def _require(values: dict[str, object], keys: tuple[str, ...], header_line: int) -> None:
-    for key in keys:
-        if key not in values:
-            raise ScenarioParseError(f"missing key {key!r}", header_line)
+    specs = []
+    for header_line, values in sections:
+        for key in required:
+            if key not in values:
+                raise ScenarioParseError(f"missing key {key!r}", header_line)
+        try:
+            specs.append(build(values))
+        except ScenarioValidationError as exc:
+            raise ScenarioParseError(str(exc), header_line) from None
+    return specs
 
 
 def parse_experiment_file(path: str | Path) -> list[ExperimentSpec]:
@@ -279,25 +316,23 @@ def parse_experiment_file(path: str | Path) -> list[ExperimentSpec]:
 
     Raises:
         ScenarioParseError: On unknown sections or keys, missing required
-            keys, or bad values.
+            keys, bad values, or a spec that breaks its own rules.
         OSError: If the file or a referenced scenario cannot be read.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8-sig")
-    specs: list[ExperimentSpec] = []
-    for header_line, values in _read_sections(text, "experiment", EXPERIMENT_RULES):
-        _require(values, ("scenario",), header_line)
+
+    def build(values: dict) -> ExperimentSpec:
         scenario = load_scenario(path.parent / values["scenario"])
-        specs.append(
-            ExperimentSpec(
-                values.get("label", scenario.name),
-                scenario,
-                values.get("variations", (VARIATIONS["none"],)),
-                values.get("runs", 3),
-                values.get("seed"),
-            )
+        return ExperimentSpec(
+            values.get("label", scenario.name),
+            scenario,
+            values.get("variations", (VARIATIONS["none"],)),
+            values.get("runs", 3),
+            values.get("seed"),
         )
-    return specs
+
+    text = path.read_text(encoding="utf-8-sig")
+    return _read_specs(text, "experiment", EXPERIMENT_RULES, ("scenario",), build)
 
 
 def parse_benchmark_file(path: str | Path) -> list[SchoolBenchmarkSpec]:
@@ -307,26 +342,16 @@ def parse_benchmark_file(path: str | Path) -> list[SchoolBenchmarkSpec]:
     override the classroom planner settings under the scenario
     ``[planner]`` rules; everything else uses the defaults.
     """
-    text = Path(path).read_text(encoding="utf-8-sig")
-    specs: list[SchoolBenchmarkSpec] = []
-    for header_line, values in _read_sections(text, "school", SCHOOL_RULES):
-        _require(
-            values,
-            ("name", "enrollment", "per_room", "grid_x", "grid_y", "true_pos_pct"),
-            header_line,
-        )
-        if values["per_room"] > values["grid_x"] * values["grid_y"]:
-            raise ScenarioParseError(
-                "per_room exceeds the classroom tile count", header_line
-            )
+
+    def build(values: dict) -> SchoolBenchmarkSpec:
         overrides = {key: values.pop(key) for key in list(values) if key in PLANNER_RULES}
         values.setdefault("variations", (VARIATIONS["none"],))
-        specs.append(
-            SchoolBenchmarkSpec(
-                **values, planner=replace(PlannerSettings(rounds=1), **overrides)
-            )
-        )
-    return specs
+        planner = replace(PlannerSettings(rounds=1), **overrides)
+        return SchoolBenchmarkSpec(**values, planner=planner)
+
+    text = Path(path).read_text(encoding="utf-8-sig")
+    required = ("name", "enrollment", "per_room", "grid_x", "grid_y", "true_pos_pct")
+    return _read_specs(text, "school", SCHOOL_RULES, required, build)
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +434,8 @@ def run_experiment(spec: ExperimentSpec, default_seed: int) -> list[RunMetrics]:
 
 def rooms_for(enrollment: int, per_room: int) -> int:
     """Number of simulated classrooms: enrollment / per_room rounded half
-    to even (Python's round)."""
-    return round(enrollment / per_room)
+    to even in exact arithmetic, so no enrollment overflows a float."""
+    return round(Fraction(enrollment, per_room))
 
 
 def make_classroom(

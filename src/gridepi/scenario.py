@@ -241,8 +241,8 @@ class ValidatedScenario:
 
 
 # ---------------------------------------------------------------------------
-# Value parsing and range rules (shared by every parser, validate() and
-# with_planner())
+# Value parsing and range rules (shared by every parser, validate(),
+# with_planner() and the harness specs)
 # ---------------------------------------------------------------------------
 
 
@@ -325,13 +325,18 @@ def parse_value(rules: dict[str, tuple], key: str, text: str, lineno: int) -> ob
     return value
 
 
+def rule_errors(rules: dict[str, tuple], obj: object, prefix: str = "") -> list[str]:
+    """``<prefix><key> <description>`` for each rule ``obj.<key>`` breaks."""
+    return [
+        f"{prefix}{key} {description}"
+        for key, (_, predicate, description) in rules.items()
+        if not predicate(getattr(obj, key))
+    ]
+
+
 def _planner_errors(settings: PlannerSettings) -> list[str]:
     """Every ``[planner]`` rule that ``settings`` break."""
-    errors = [
-        f"planner.{key} {description}"
-        for key, (_, predicate, description) in PLANNER_RULES.items()
-        if not predicate(getattr(settings, key))
-    ]
+    errors = rule_errors(PLANNER_RULES, settings, "planner.")
     if settings.pen_d > settings.pen_i:
         errors.append("planner.pen_d must be <= pen_i (deaths penalized at least as hard)")
     return errors
@@ -554,10 +559,8 @@ def validate(config: ScenarioConfig) -> ValidatedScenario:
     if not errors and walkable == 0:
         errors.append("grid has no walkable tiles")
 
-    for key, (_, predicate, description) in PARAM_RULES.items():
-        if not predicate(getattr(config.params, key)):
-            errors.append(f"params.{key} {description}")
-    errors.extend(_planner_errors(config.planner))
+    errors += rule_errors(PARAM_RULES, config.params, "params.")
+    errors += _planner_errors(config.planner)
 
     n = len(config.placements)
     ids = sorted(pl.person_id for pl in config.placements)

@@ -266,6 +266,11 @@ def test_experiment_runs_override(sweep, capsys):
     assert EXPERIMENT_CSV_HEADER in capsys.readouterr().out
 
 
+def test_experiment_runs_zero_prints_the_spec_rule(sweep, capsys):
+    assert cli_main(["experiment", sweep, "--runs", "0"]) == EXIT_USAGE
+    assert capsys.readouterr().out == "error: runs must be >= 1\n"
+
+
 def test_experiment_label_with_comma_stays_one_cell(tmp_path, tiny, capsys):
     path = tmp_path / "comma.exp"
     path.write_text(
@@ -315,6 +320,19 @@ def test_benchmark_name_with_comma_stays_one_cell(tmp_path, capsys):
     header, row = csv.reader(capsys.readouterr().out.splitlines())
     assert len(header) == len(row) == 9
     assert row[0] == "A,B-MDP-1"
+
+
+def test_benchmark_zero_classrooms_exits_one(tmp_path, capsys):
+    path = tmp_path / "zero.bench"
+    path.write_text(
+        "[school]\nname = Z\nenrollment = 1\nper_room = 3\n"
+        "grid_x = 2\ngrid_y = 2\ntrue_pos_pct = 0\n",
+        encoding="utf-8",
+    )
+    assert cli_main(["benchmark", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().out == (
+        "error: line 1: enrollment / per_room rounds to 0 classrooms\n"
+    )
 
 
 def test_benchmark_non_finite_positivity_exits_one(tmp_path, capsys):

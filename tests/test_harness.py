@@ -26,6 +26,7 @@ from gridepi.harness import (
 from gridepi.scenario import (
     PlannerSettings,
     ScenarioParseError,
+    ScenarioValidationError,
     serialize_scenario,
     validate,
 )
@@ -87,6 +88,11 @@ def test_rooms_for_examples():
 def test_rooms_for_rounds_half_to_even():
     assert rooms_for(25, 10) == 2
     assert rooms_for(35, 10) == 4
+
+
+def test_rooms_for_is_exact_beyond_float_range():
+    assert rooms_for(10**400 + 1, 2) == 5 * 10**399
+    assert rooms_for(3 * 10**400 + 3, 2) == 15 * 10**399 + 2
 
 
 def test_estimated_population():
@@ -192,6 +198,29 @@ def test_parse_experiment_errors_on_the_value_line(tmp_path, old, new, line, mes
     assert str(info.value).startswith(f"line {line}: {message}")
 
 
+def test_parse_experiment_rejects_nul_in_scenario_path(tmp_path):
+    path = tmp_path / "nul.exp"
+    path.write_bytes(b"[experiment]\nscenario = a\0b.scn\n")
+    with pytest.raises(ScenarioParseError) as info:
+        parse_experiment_file(path)
+    assert info.value.line == 2
+    assert str(info.value).startswith("line 2: bad value for 'scenario': ")
+
+
+def test_parse_experiment_rejects_a_room_without_persons(tmp_path):
+    path = _write_spec(tmp_path, exp_text=SMALL_EXP * 2, scn_text="[grid]\n...\n")
+    with pytest.raises(ScenarioParseError) as info:
+        parse_experiment_file(path)
+    assert str(info.value) == "line 1: scenario has no persons"
+
+
+def test_experiment_spec_checks_itself(tmp_path):
+    (spec,) = parse_experiment_file(_write_spec(tmp_path))
+    with pytest.raises(ScenarioValidationError) as info:
+        replace(spec, runs=0)
+    assert info.value.errors == ["runs must be >= 1"]
+
+
 def test_parse_experiment_missing_scenario_file(tmp_path):
     spec_path = tmp_path / "sweep.exp"
     spec_path.write_text("[experiment]\nscenario = missing.scn\n", encoding="utf-8")
@@ -230,6 +259,8 @@ def test_parse_bundled_benchmark_file():
         ("[school]", "[campus]"),
         ("enrollment = 105", "enrollment = 0"),
         ("name = Tiny", "name = Tiny\nfloors = 2"),
+        # 3 / 8 rounds to 0 classrooms
+        ("enrollment = 105", "enrollment = 3"),
     ],
 )
 def test_parse_benchmark_errors(tmp_path, mutation):
@@ -300,6 +331,36 @@ def test_parse_benchmark_errors_on_the_value_line(tmp_path, old, new, line, mess
         parse_benchmark_file(path)
     assert info.value.line == line
     assert str(info.value).startswith(f"line {line}: {message}")
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("per_room = 8", "per_room = 40", "per_room exceeds the classroom tile count"),
+        ("enrollment = 105", "enrollment = 3", "enrollment / per_room rounds to 0 classrooms"),
+    ],
+)
+def test_parse_benchmark_cross_key_errors_on_the_header_line(tmp_path, old, new, message):
+    path = tmp_path / "two.bench"
+    path.write_text(TWO_SCHOOLS.replace(old, new), encoding="utf-8")
+    with pytest.raises(ScenarioParseError) as info:
+        parse_benchmark_file(path)
+    assert str(info.value) == f"line 1: {message}"
+
+
+def test_school_spec_checks_itself():
+    school = _tiny_school()
+    with pytest.raises(ScenarioValidationError, match="rounds to 0 classrooms"):
+        replace(school, enrollment=1, per_room=3, grid_x=2, grid_y=2)
+    with pytest.raises(ScenarioValidationError, match="per_room exceeds"):
+        replace(school, per_room=5)
+    with pytest.raises(ScenarioValidationError) as info:
+        replace(school, enrollment=0, grid_y=0, planner=PlannerSettings(rounds=0))
+    assert info.value.errors == [
+        "enrollment must be >= 1",
+        "grid_y must be >= 1",
+        "planner.rounds must be >= 1",
+    ]
 
 
 def test_parse_benchmark_planner_overrides(tmp_path):
