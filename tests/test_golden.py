@@ -34,19 +34,23 @@ ROOMS = ("small_space", "larger_space", "small_crowded", "larger_crowded")
 ROOM_ITERATIONS = 40
 
 
-def _bundled_room(name: str, workdir: Path) -> str:
-    """A bundled room with a small search budget, written to ``workdir``."""
+def _bundled_room(name: str, workdir: Path, **planner) -> str:
+    """A bundled room with a small search budget and the ``planner``
+    overrides in its ``[planner]`` section, written to ``workdir``."""
     config = load_scenario(asset_path(f"{name}.scn"))
-    config = replace(config, planner=replace(config.planner, uct_iterations=ROOM_ITERATIONS))
+    config = replace(
+        config,
+        planner=replace(config.planner, uct_iterations=ROOM_ITERATIONS, **planner),
+    )
     path = workdir / f"{name}.scn"
     path.write_text(serialize_scenario(config), encoding="utf-8")
     return str(path)
 
 
-def _simulate_room(name: str):
+def _simulate_room(name: str, **planner):
     def argv(workdir: Path) -> list[str]:
         return [
-            "simulate", _bundled_room(name, workdir), "--seed", "7",
+            "simulate", _bundled_room(name, workdir, **planner), "--seed", "7",
             "--horizon", "6", "--rounds", "2",
             "--out", str(workdir / "traj.csv"),
             "--events", str(workdir / "events.jsonl"),
@@ -70,6 +74,10 @@ def _simulate_crowd(room: str, fmt: str):
 # directory, plus its stdout, is compared.
 CASES = {
     **{f"simulate_{room}": _simulate_room(room) for room in ROOMS},
+    # non-zero action costs, which every other case leaves at 0
+    "simulate_costs": _simulate_room(
+        "small_space", cost_mask_action=-0.3, cost_vax_action=-0.1
+    ),
     "simulate_crowd_r1": _simulate_crowd("crowd_r1", "csv"),
     "simulate_crowd_r3": _simulate_crowd("crowd_r3", "json"),
     "experiment_tiny": lambda workdir: [
