@@ -56,9 +56,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_validate = sub.add_parser("validate", help="check a scenario file")
+    p_validate.set_defaults(run=_cmd_validate)
     p_validate.add_argument("scenario")
 
     p_sim = sub.add_parser("simulate", help="simulate one scenario")
+    p_sim.set_defaults(run=_cmd_simulate)
     p_sim.add_argument("scenario")
     p_sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_sim.add_argument("--policy", choices=POLICIES, default="planner")
@@ -72,6 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_exp = sub.add_parser("experiment", help="run an experiment sweep file")
+    p_exp.set_defaults(run=_cmd_experiment)
     p_exp.add_argument("specfile")
     p_exp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_exp.add_argument("--runs", type=int, default=None, help="override runs per cell")
@@ -79,6 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p_bench = sub.add_parser("benchmark", help="run a school benchmark file")
+    p_bench.set_defaults(run=_cmd_benchmark)
     p_bench.add_argument("specfile")
     p_bench.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_bench.add_argument("--out", default=None)
@@ -88,6 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle_sub = p_oracle.add_subparsers(dest="oracle_command", required=True)
 
     p_ode = oracle_sub.add_parser("ode", help="forward Euler compartment curve")
+    p_ode.set_defaults(run=_cmd_oracle_ode)
     p_ode.add_argument("--s0", type=float, default=99.0)
     p_ode.add_argument("--e0", type=float, default=0.0)
     p_ode.add_argument("--i0", type=float, default=1.0)
@@ -105,6 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enum = oracle_sub.add_parser(
         "enumerate", help="exact outcome distribution of a static micro-scenario"
     )
+    p_enum.set_defaults(run=_cmd_oracle_enumerate)
     p_enum.add_argument("scenario")
     p_enum.add_argument("--horizon", type=int, default=None)
     p_enum.add_argument("--out", default=None)
@@ -146,6 +152,8 @@ def _cmd_simulate(args) -> int:
     if args.horizon is not None:
         settings = replace(settings, horizon=args.horizon)
     validated = validate(config)
+    if not validated.population:
+        raise ScenarioValidationError(["scenario has no persons"])
     for warning in validated.warnings:
         print(f"warning: {warning}")
     episodes = run_episode(
@@ -237,33 +245,17 @@ def cli_main(argv: list[str] | None = None) -> int:
         # problems are validation failures here, not I/O.
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "experiment":
-            return _cmd_experiment(args)
-        if args.command == "benchmark":
-            return _cmd_benchmark(args)
-        if args.command == "oracle":
-            if args.oracle_command == "ode":
-                return _cmd_oracle_ode(args)
-            return _cmd_oracle_enumerate(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args)
     except ScenarioValidationError as exc:
         for error in exc.errors:
             print(f"error: {error}")
         return EXIT_USAGE
-    except ScenarioError as exc:
-        print(f"error: {exc}")
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (ScenarioError, ValueError) as exc:
         print(f"error: {exc}")
         return EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}")
         return EXIT_IO
-    return EXIT_USAGE
 
 
 def main() -> None:

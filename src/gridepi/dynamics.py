@@ -28,8 +28,9 @@ so exposure costs O(sources * radius^2) per step, not O(N^2).
 same formula and is the reference the exact oracle and the tests use.
 
 All randomness comes from ``random.Random`` streams passed in by the
-caller; the functions themselves hold no hidden state. :func:`step` is
-the pure variant of :func:`step_inplace` and never mutates its input.
+caller; the functions themselves hold no hidden state. :func:`step_inplace`
+checks and charges actions under the planner settings it is handed;
+:func:`step`, its pure variant, uses the scenario's ``[planner]`` section.
 
 Output rows (:class:`TrajectoryRow` here, the harness metrics elsewhere)
 are described by field tables of (column name, attribute, CSV format),
@@ -147,7 +148,6 @@ class PersonState:
     vaccinated: bool = False
     mask_refuser: bool = False
     vax_refuser: bool = False
-    ever_infected: bool = False
 
     @property
     def position(self) -> tuple[int, int]:
@@ -163,7 +163,6 @@ class PersonState:
             self.vaccinated,
             self.mask_refuser,
             self.vax_refuser,
-            self.ever_infected,
         )
 
 
@@ -174,7 +173,7 @@ class SimState:
     ``persons`` is indexed by person id. ``occupancy`` maps each occupied
     tile to the id of the person on it (deceased persons included, since
     they keep blocking their tile). ``cumulative_infections`` counts
-    persons ever infectious, including those infectious at time zero.
+    persons ever infectious, which is always I + R + D.
     ``action_costs`` accumulates the (non-positive) cost of every action
     applied so far.
     """
@@ -219,8 +218,7 @@ def init_state(validated: ValidatedScenario, seed: int) -> SimState:
         vaccinated = pl.pre_vaccinated
         if vaccinated:
             vax_refuser = False
-        ever_infected = compartment is _I or compartment is _R
-        if ever_infected:
+        if compartment is _I or compartment is _R:
             infections += 1
         x, y = pl.position
         persons.append(
@@ -233,7 +231,6 @@ def init_state(validated: ValidatedScenario, seed: int) -> SimState:
                 vaccinated,
                 mask_refuser,
                 vax_refuser,
-                ever_infected,
             )
         )
         occupancy[pl.position] = pl.person_id
@@ -443,9 +440,9 @@ def _transition_inplace(
     for p, new_compartment in pending:
         p.compartment = new_compartment
         if new_compartment is _I:
-            if not p.ever_infected:
-                p.ever_infected = True
-                state.cumulative_infections += 1
+            # only E leads to I, and nobody who was ever infectious
+            # returns to E: R and D are absorbing
+            state.cumulative_infections += 1
         elif new_compartment is _D:
             state.cumulative_deaths += 1
 
@@ -597,20 +594,21 @@ def step_inplace(
     state: SimState,
     action: Action,
     validated: ValidatedScenario,
+    settings: PlannerSettings,
     rng,
     events: list[StepEvent] | None = None,
 ) -> None:
     """Advance ``state`` by one step in place: action, movement, health.
 
-    Movement moves each living person with probability p_mv to a
-    uniformly chosen unoccupied walkable neighbor, in ascending id order
-    (earlier movers claim contested tiles). The action is checked for
-    legality (against ``validated.planner``) before anything is mutated.
-    Exposed for hot loops; most callers want :func:`step`.
+    The action is checked for legality against ``settings``, which also
+    set its cost, before anything is mutated. Movement moves each living
+    person with probability p_mv to a uniformly chosen unoccupied
+    walkable neighbor, in ascending id order (earlier movers claim
+    contested tiles). Exposed for hot loops; most callers want :func:`step`.
     """
     params = validated.params
     grid = validated.grid
-    apply_action_inplace(state, action, validated.planner, events)
+    apply_action_inplace(state, action, settings, events)
     _movement_inplace(state, validated.adjacency, params.p_mv, rng, events)
     _transition_inplace(state, params, grid.width + grid.height - 2, rng, events)
     state.step += 1
@@ -622,7 +620,7 @@ def step(
     validated: ValidatedScenario,
     rng,
 ) -> tuple[SimState, list[StepEvent]]:
-    """Advance one full simulation step.
+    """Advance one full simulation step under ``validated.planner``.
 
     Args:
         state: Current state; never mutated.
@@ -639,7 +637,7 @@ def step(
     """
     events: list[StepEvent] = []
     new = state.clone()
-    step_inplace(new, action, validated, rng, events)
+    step_inplace(new, action, validated, validated.planner, rng, events)
     return new, events
 
 

@@ -13,6 +13,9 @@ conditioning on one sampled successor. Rollouts play uniformly random
 legal actions to the episode horizon, returns are undiscounted sums of
 step rewards, and the recommended action is the root child with the most
 visits (ties broken by fixed action order).
+
+The ``settings`` handed to :func:`plan_with_stats` and :func:`run_episode`
+govern the run, action costs included, in place of the scenario's own.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .dynamics import (
     vaccinate,
 )
 from .rng import randbelow, substream
-from .scenario import PlannerSettings, ValidatedScenario
+from .scenario import PlannerSettings, ValidatedScenario, check_planner
 
 __all__ = [
     "Action",
@@ -117,7 +120,7 @@ def _advance(
     infections = sim.cumulative_infections
     deaths = sim.cumulative_deaths
     costs = sim.action_costs
-    step_inplace(sim, action, validated, rng)
+    step_inplace(sim, action, validated, settings, rng)
     return _reward(
         settings,
         sim.cumulative_infections - infections,
@@ -131,10 +134,10 @@ def _rollout(
     validated: ValidatedScenario,
     settings: PlannerSettings,
     rng,
-    horizon: int,
 ) -> float:
     total = 0.0
     getrandbits = rng.getrandbits
+    horizon = settings.horizon
     while sim.step < horizon:
         action = _random_action(sim, settings, getrandbits)
         total += _advance(sim, action, validated, settings, rng)
@@ -167,8 +170,11 @@ def plan_with_stats(
 
     The stats dict has ``root_visits`` and ``per_action``, a list of
     ``{action, visits, mean_return}`` entries in canonical action order.
+
+    Raises:
+        ScenarioValidationError: If ``settings`` break a ``[planner]`` rule.
     """
-    validated = validated.with_planner(settings)
+    check_planner(settings)
     horizon = settings.horizon
 
     if settings.uct_iterations <= 0 or state.step >= horizon:
@@ -193,7 +199,7 @@ def plan_with_stats(
                 child = SearchNode()
                 node.children[action] = child
                 path.append(child)
-                total += _rollout(sim, validated, settings, rng, horizon)
+                total += _rollout(sim, validated, settings, rng)
                 break
             action = _select(node, actions, exploration)
             total += _advance(sim, action, validated, settings, rng)
@@ -273,9 +279,8 @@ def run_episode(
     environment randomness until their actions first diverge.
 
     Args:
-        validated: Scenario to simulate.
-        settings: Active planner settings; these override the scenario's
-            own planner section for this run.
+        validated: Scenario to simulate; its ``[planner]`` section is unread.
+        settings: Planner settings that govern the run, action costs included.
         policy: One of "planner", "noop", "random".
         seed: Base seed for round 0.
         collect_events: Keep per-step event logs in the results.
@@ -283,10 +288,11 @@ def run_episode(
 
     Raises:
         ValueError: On an unknown policy name.
+        ScenarioValidationError: If ``settings`` break a ``[planner]`` rule.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
-    validated = validated.with_planner(settings)
+    check_planner(settings)
     results: list[EpisodeResult] = []
     for r in range(settings.rounds):
         round_seed = seed + r
@@ -308,7 +314,7 @@ def run_episode(
                     decisions.append(
                         {"step": t, "chosen_action": action.describe(), **stats}
                     )
-            step_inplace(state, action, validated, env_rng, events)
+            step_inplace(state, action, validated, settings, env_rng, events)
             trajectory.record(state)
         reward = _reward(
             settings,

@@ -33,7 +33,7 @@ rejected; omitted keys take the defaults baked into
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 __all__ = [
@@ -228,21 +228,10 @@ class ValidatedScenario:
     def name(self) -> str:
         return self.config.name
 
-    def with_planner(self, settings: PlannerSettings) -> "ValidatedScenario":
-        """Same scenario with swapped planner settings (shares lookups).
-
-        Raises:
-            ScenarioValidationError: If ``settings`` break a ``[planner]`` rule.
-        """
-        errors = _planner_errors(settings)
-        if errors:
-            raise ScenarioValidationError(errors)
-        return replace(self, config=replace(self.config, planner=settings))
-
 
 # ---------------------------------------------------------------------------
 # Value parsing and range rules (shared by every parser, validate(),
-# with_planner() and the harness specs)
+# check_planner() and the harness specs)
 # ---------------------------------------------------------------------------
 
 
@@ -340,6 +329,13 @@ def _planner_errors(settings: PlannerSettings) -> list[str]:
     if settings.pen_d > settings.pen_i:
         errors.append("planner.pen_d must be <= pen_i (deaths penalized at least as hard)")
     return errors
+
+
+def check_planner(settings: PlannerSettings) -> None:
+    """Raise ScenarioValidationError if ``settings`` break a planner rule."""
+    errors = _planner_errors(settings)
+    if errors:
+        raise ScenarioValidationError(errors)
 
 
 # ---------------------------------------------------------------------------

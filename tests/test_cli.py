@@ -212,6 +212,17 @@ def test_simulate_rejects_negative_horizon(micro, capsys):
     assert capsys.readouterr().out == "error: planner.horizon must be >= 0\n"
 
 
+def test_simulate_room_without_persons_exits_one(tmp_path, capsys):
+    # validate accepts the room, but its summary has no population to divide by
+    path = tmp_path / "empty.scn"
+    path.write_text("[grid]\n...\n", encoding="utf-8")
+    out = tmp_path / "traj.csv"
+    code = cli_main(["simulate", str(path), "--rounds", "1", "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().out == "error: scenario has no persons\n"
+    assert not out.exists()
+
+
 def test_simulate_missing_scenario_exits_two(capsys):
     assert cli_main(["simulate", "/nonexistent/nowhere.scn"]) == EXIT_IO
 

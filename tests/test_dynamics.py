@@ -333,9 +333,7 @@ def test_step_counters_and_monotonicity():
             assert state.cumulative_deaths >= before.cumulative_deaths
             s, e, i, r, d = census(state)
             assert d == state.cumulative_deaths
-            assert state.cumulative_infections == sum(
-                1 for p in state.persons if p.ever_infected
-            )
+            assert state.cumulative_infections == i + r + d
 
 
 def test_step_only_legal_transitions():

@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from gridepi import assets
-from gridepi.dynamics import Compartment, census, init_state, step
+from gridepi.dynamics import Compartment, census, init_state, step, step_inplace
 from gridepi.planner import (
     MANDATE_MASKS,
     NOOP,
@@ -277,8 +277,12 @@ def test_episode_reward_identity():
     for seed in (11, 12, 13):
         (result,) = run_episode(v, settings, "planner", seed)
         final = result.final_state
+        _, _, i, r, d = census(final)
+        assert final.cumulative_infections == i + r + d
         initial_infections = sum(
-            1 for p in init_state(v, seed).persons if p.ever_infected
+            1
+            for p in init_state(v, seed).persons
+            if p.compartment in (Compartment.I, Compartment.R)
         )
         expected = (
             settings.pen_i * (final.cumulative_infections - initial_infections)
@@ -286,6 +290,56 @@ def test_episode_reward_identity():
             + final.action_costs
         )
         assert result.reward == expected
+
+
+# Dyadic costs and penalties keep every sum exact, so rewards compare bit for bit.
+HANDED_COSTS = {"cost_mask_action": -0.25, "cost_vax_action": -0.125}
+
+
+def _closed_form(settings, start, final):
+    return (
+        settings.pen_i * (final.cumulative_infections - start.cumulative_infections)
+        + settings.pen_d * (final.cumulative_deaths - start.cumulative_deaths)
+        + final.action_costs
+    )
+
+
+@pytest.mark.parametrize("policy", ["random", "planner"])
+def test_run_episode_charges_the_handed_costs(policy):
+    # the room's [planner] section has zero costs; the settings handed to
+    # run_episode carry the costs, and they are what the steps charge
+    v = _small_space()
+    assert v.planner.cost_mask_action == v.planner.cost_vax_action == 0.0
+    settings = replace(v.planner, rounds=3, horizon=6, uct_iterations=16, **HANDED_COSTS)
+    results = run_episode(v, settings, policy, 40)
+    assert any(result.final_state.action_costs < 0 for result in results)
+    for r, result in enumerate(results):
+        start = init_state(v, 40 + r)
+        assert result.reward == _closed_form(settings, start, result.final_state)
+
+
+def test_step_inplace_charges_the_handed_costs():
+    v = _small_space()
+    settings = replace(v.planner, **HANDED_COSTS)
+    cost = {
+        ActionKind.NOOP: 0.0,
+        ActionKind.MANDATE_MASKS: settings.cost_mask_action,
+        ActionKind.VACCINATE: settings.cost_vax_action,
+    }
+    state = init_state(v, 5)
+    start = state.clone()
+    env = substream(5, "env")
+    summed = 0.0
+    charged = 0.0
+    for _ in range(settings.horizon):
+        # the last legal action is a costly one whenever one is legal
+        action = available_actions(state, settings)[-1]
+        before = state.clone()
+        step_inplace(state, action, v, settings, env)
+        summed += step_reward(before, state, settings)
+        charged += cost[action.kind]
+    assert state.action_costs == charged < 0
+    assert summed == _closed_form(settings, start, state)
 
 
 # ---------------------------------------------------------------------------
