@@ -2,10 +2,10 @@
 
 Each simulation step applies three phases in order: the chosen
 intervention action, a movement phase, and a synchronous health
-transition phase. Health transitions for step t are all decided against
-the census at the start of the phase, so a person who leaves the
-infectious compartment this step still counts as a source for
-susceptible neighbors this step.
+transition phase. The transition phase applies each change where it is
+drawn, in one pass: exposure comes from the start-of-phase sources, so
+a person who leaves the infectious compartment this step still counts
+as a source for susceptible neighbors this step.
 
 Compartment flow is S -> E -> I -> {R, D}. An exposed person reverts to
 S when the infection does not take hold, recovered persons cannot be
@@ -394,9 +394,10 @@ def _transition_inplace(
     rng,
     events: list[StepEvent] | None = None,
 ) -> None:
-    # Decisions are made against start-of-phase compartments; nothing is
-    # applied until every person has been processed. A susceptible person
-    # with no source in range draws nothing.
+    # One pass, each change applied where it is drawn: exposure comes from
+    # the start-of-phase sources, each person is visited once and no
+    # branch reads another person, so the update is synchronous. A
+    # susceptible person with no source in range draws nothing.
     persons = state.persons
     sigma = params.sigma
     persistence = params.infected_persistence
@@ -407,7 +408,6 @@ def _transition_inplace(
         if p.compartment is _I:
             sources.append(p)
     misses = exposure_misses(sources, state, params, reach) if sources else {}
-    pending: list[tuple[PersonState, Compartment]] = []
     for p in persons:
         c = p.compartment
         if c is _S:
@@ -416,35 +416,29 @@ def _transition_inplace(
                 continue
             prob = 1.0 - miss
             if prob > 0.0 and random() < prob:
-                pending.append((p, _E))
+                p.compartment = _E
                 if events is not None:
                     events.append(StepEvent(step_no, EXPOSED, p.id, f"prob={prob!r}"))
         elif c is _E:
             if random() < sigma:
-                pending.append((p, _I))
+                p.compartment = _I
+                state.cumulative_infections += 1
                 if events is not None:
                     events.append(StepEvent(step_no, INFECTED, p.id))
             else:
-                pending.append((p, _S))
+                p.compartment = _S
         elif c is _I:
             if random() < persistence:
                 continue
             if random() < death_probability_on_exit(p, params):
-                pending.append((p, _D))
+                p.compartment = _D
+                state.cumulative_deaths += 1
                 if events is not None:
                     events.append(StepEvent(step_no, DIED, p.id))
             else:
-                pending.append((p, _R))
+                p.compartment = _R
                 if events is not None:
                     events.append(StepEvent(step_no, RECOVERED, p.id))
-    for p, new_compartment in pending:
-        p.compartment = new_compartment
-        if new_compartment is _I:
-            # only E leads to I, and nobody who was ever infectious
-            # returns to E: R and D are absorbing
-            state.cumulative_infections += 1
-        elif new_compartment is _D:
-            state.cumulative_deaths += 1
 
 
 # ---------------------------------------------------------------------------

@@ -105,7 +105,7 @@ class ExperimentSpec:
 
     label: str
     scenario: ScenarioConfig
-    variations: tuple[tuple[bool, bool], ...]
+    variations: tuple[tuple[bool, bool], ...] = (VARIATIONS["none"],)
     runs: int = 3
     seed: int | None = None
 
@@ -175,7 +175,7 @@ class SchoolBenchmarkSpec:
     grid_x: int
     grid_y: int
     true_pos_pct: float
-    variations: tuple[tuple[bool, bool], ...]
+    variations: tuple[tuple[bool, bool], ...] = (VARIATIONS["none"],)
     planner: PlannerSettings = PlannerSettings(rounds=1)
 
     def __post_init__(self) -> None:
@@ -322,14 +322,8 @@ def parse_experiment_file(path: str | Path) -> list[ExperimentSpec]:
     path = Path(path)
 
     def build(values: dict) -> ExperimentSpec:
-        scenario = load_scenario(path.parent / values["scenario"])
-        return ExperimentSpec(
-            values.get("label", scenario.name),
-            scenario,
-            values.get("variations", (VARIATIONS["none"],)),
-            values.get("runs", 3),
-            values.get("seed"),
-        )
+        scenario = load_scenario(path.parent / values.pop("scenario"))
+        return ExperimentSpec(values.pop("label", scenario.name), scenario, **values)
 
     text = path.read_text(encoding="utf-8-sig")
     return _read_specs(text, "experiment", EXPERIMENT_RULES, ("scenario",), build)
@@ -345,8 +339,7 @@ def parse_benchmark_file(path: str | Path) -> list[SchoolBenchmarkSpec]:
 
     def build(values: dict) -> SchoolBenchmarkSpec:
         overrides = {key: values.pop(key) for key in list(values) if key in PLANNER_RULES}
-        values.setdefault("variations", (VARIATIONS["none"],))
-        planner = replace(PlannerSettings(rounds=1), **overrides)
+        planner = replace(SchoolBenchmarkSpec.planner, **overrides)
         return SchoolBenchmarkSpec(**values, planner=planner)
 
     text = Path(path).read_text(encoding="utf-8-sig")
@@ -380,25 +373,23 @@ def _variation_runs(
     Run i of variation v is seeded with stable_seed(seed, label, v, i),
     so adding runs or variations never perturbs existing ones, and no
     run depends on the order the runs execute in. Each variation enables
-    its interventions on top of ``validated.planner``. Variations with at
-    least one intervention use the embedded planner; the
-    no-intervention variation runs the noop policy, which is the
-    planner's only choice there anyway.
+    its interventions on top of ``validated.planner`` and runs the
+    embedded planner; with no intervention enabled, noop is its only
+    legal action, which it returns without drawing.
     """
     for v_index, (masks, vaccines) in enumerate(variations):
         settings = replace(
             validated.planner, masks_available=masks, vaccines_available=vaccines
         )
-        policy = "planner" if (masks or vaccines) else "noop"
         yield [
-            run_episode(validated, settings, policy, stable_seed(seed, label, v_index, i))
+            run_episode(validated, settings, "planner", stable_seed(seed, label, v_index, i))
             for i in range(count)
         ]
 
 
 def run_experiment(spec: ExperimentSpec, default_seed: int) -> list[RunMetrics]:
     """Run every variation of one experiment; deterministic given the seed
-    (see :func:`_variation_runs` for the per-run seeds and policies)."""
+    (see :func:`_variation_runs` for the per-run seeds)."""
     seed = spec.seed if spec.seed is not None else default_seed
     validated = validate(spec.scenario)
     n = validated.population
@@ -442,11 +433,11 @@ def make_classroom(
     grid_x: int,
     grid_y: int,
     per_room: int,
-    planner: PlannerSettings | None = None,
+    planner: PlannerSettings = SchoolBenchmarkSpec.planner,
 ) -> ScenarioConfig:
     """Fully walkable classroom with ``per_room`` persons spread evenly
     over the tiles in scan order; the middle person starts infectious,
-    everyone else susceptible."""
+    everyone else susceptible. ``planner`` defaults to a school's."""
     tiles = grid_x * grid_y
     if per_room > tiles:
         raise ValueError("more persons than classroom tiles")
@@ -464,7 +455,7 @@ def make_classroom(
         grid=GridMap(grid_x, grid_y, (True,) * tiles),
         placements=placements,
         params=EpiParams(),
-        planner=planner if planner is not None else PlannerSettings(rounds=1),
+        planner=planner,
         name=f"classroom-{grid_x}x{grid_y}-{per_room}",
     )
 

@@ -76,9 +76,13 @@ class CompartmentVector:
         return self.s + self.e + self.i + self.r + self.d
 
 
-def _check_step_inputs(v: CompartmentVector, dt: float, mode: str) -> None:
+def _check_step_inputs(
+    v: CompartmentVector, params: EpiParams, dt: float, mode: str
+) -> None:
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    if not math.isfinite(dt):
+        raise ValueError("dt must be finite")
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if v.n <= 0.0:
@@ -86,6 +90,9 @@ def _check_step_inputs(v: CompartmentVector, dt: float, mode: str) -> None:
     for value in (v.s, v.e, v.i, v.r, v.d):
         if not math.isfinite(value):
             raise ValueError("compartment values must be finite")
+    for name in ("beta", "sigma", "gamma", "mu"):
+        if not math.isfinite(getattr(params, name)):
+            raise ValueError(f"{name} must be finite")
 
 
 def seird_euler_step(
@@ -100,10 +107,10 @@ def seird_euler_step(
         mode: "literal" or "conserving" (see module docstring).
 
     Raises:
-        ValueError: On an unknown mode, non-positive dt, non-positive n,
-            or non-finite inputs.
+        ValueError: On an unknown mode, a non-finite or non-positive dt,
+            non-positive n, or a non-finite compartment or rate.
     """
-    _check_step_inputs(v, dt, mode)
+    _check_step_inputs(v, params, dt, mode)
     beta, sigma, gamma, mu = params.beta, params.sigma, params.gamma, params.mu
     if mode == "literal":
         ds = -beta * (v.s / v.n) * v.i
@@ -139,7 +146,7 @@ def seird_integrate(
     :func:`seird_euler_step` even when ``steps`` is 0."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    _check_step_inputs(v0, dt, mode)
+    _check_step_inputs(v0, params, dt, mode)
     out = [v0]
     v = v0
     for _ in range(steps):

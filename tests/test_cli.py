@@ -427,6 +427,22 @@ def test_oracle_ode_checks_dt_without_steps(capsys):
     assert capsys.readouterr().out == "error: dt must be positive\n"
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--dt", "nan", "dt must be finite"),
+        ("--dt", "inf", "dt must be finite"),
+        ("--beta", "nan", "beta must be finite"),
+        ("--sigma", "nan", "sigma must be finite"),
+        ("--gamma", "inf", "gamma must be finite"),
+        ("--mu", "inf", "mu must be finite"),
+    ],
+)
+def test_oracle_ode_rejects_non_finite_inputs(flag, value, message, capsys):
+    assert cli_main(["oracle", "ode", flag, value, "--steps", "1"]) == EXIT_USAGE
+    assert capsys.readouterr().out == f"error: {message}\n"
+
+
 def test_oracle_enumerate_distribution(micro, capsys):
     assert cli_main(["oracle", "enumerate", micro, "--horizon", "1"]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)

@@ -283,16 +283,27 @@ def test_death_probability_on_exit():
 
 
 def test_transitions_are_synchronous():
-    # the source always leaves I this step, yet the neighbor is still
-    # exposed from the start-of-phase census
-    v = _validated(
-        "[grid]\nSI\n\n[params]\np_mv=0.0\nbeta=1.0\ninfected_persistence=0.0\n"
-    )
-    for seed in range(10):
-        state = init_state(v, seed)
-        after, _ = step(state, NOOP, v, substream(seed, "env"))
-        assert after.persons[0].compartment is Compartment.E
-        assert after.persons[1].compartment in (Compartment.R, Compartment.D)
+    # every person is decided against the start-of-phase census. SI and
+    # IS: the source always leaves I this step, yet its neighbor is still
+    # exposed, whether it is decided before or after the source. EI with
+    # sigma=0: the exposed person reverts to S and is not exposed again
+    # by the staying source in the same step.
+    exits = "[params]\np_mv=0.0\nbeta=1.0\ninfected_persistence=0.0\n"
+    stays = "[params]\np_mv=0.0\nbeta=1.0\nsigma=0.0\ninfected_persistence=1.0\n"
+    exposed = {Compartment.E}
+    left = {Compartment.R, Compartment.D}
+    cases = [
+        ("SI", exits, (exposed, left)),
+        ("IS", exits, (left, exposed)),
+        ("EI", stays, ({Compartment.S}, {Compartment.I})),
+    ]
+    for row, params, expected in cases:
+        v = _validated(f"[grid]\n{row}\n\n{params}")
+        for seed in range(10):
+            state = init_state(v, seed)
+            after, _ = step(state, NOOP, v, substream(seed, "env"))
+            got = [p.compartment for p in after.persons]
+            assert all(c in allowed for c, allowed in zip(got, expected)), (row, seed, got)
 
 
 def test_exposed_progression_with_certain_sigma():

@@ -370,6 +370,15 @@ def test_parse_benchmark_planner_overrides(tmp_path):
     assert spec.planner == PlannerSettings(rounds=2, uct_exploration=2.5)
 
 
+def test_parse_benchmark_defaults(tmp_path):
+    path = tmp_path / "one.bench"
+    path.write_text(ONE_SCHOOL.replace("variations = none\n", ""), encoding="utf-8")
+    (spec,) = parse_benchmark_file(path)
+    assert spec.variations == ((False, False),)
+    assert spec.planner == PlannerSettings(rounds=1)
+    assert make_classroom(6, 6, 8).planner == spec.planner
+
+
 def test_parse_skips_leading_byte_order_mark(tmp_path):
     (tmp_path / "plain").mkdir()
     (tmp_path / "bom").mkdir()

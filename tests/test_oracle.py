@@ -136,6 +136,31 @@ def test_integrate_checks_inputs_without_steps(v0, dt, message):
         seird_integrate(V0, EpiParams(), dt=0.1, steps=0, mode="exact")
 
 
+NAN = float("nan")
+INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "dt, params, message",
+    [
+        (NAN, EpiParams(), "dt must be finite"),
+        (INF, EpiParams(), "dt must be finite"),
+        (0.1, EpiParams(beta=NAN), "beta must be finite"),
+        (0.1, EpiParams(sigma=INF), "sigma must be finite"),
+        (0.1, EpiParams(gamma=-INF), "gamma must be finite"),
+        (0.1, EpiParams(mu=INF), "mu must be finite"),
+    ],
+)
+def test_non_finite_dt_and_rates_are_named(dt, params, message):
+    # with more than one step, a NaN curve would otherwise be blamed on
+    # the compartments
+    with pytest.raises(ValueError, match=message):
+        seird_euler_step(V0, params, dt)
+    for steps in (0, 1, 5):
+        with pytest.raises(ValueError, match=message):
+            seird_integrate(V0, params, dt=dt, steps=steps)
+
+
 def test_from_counts_sets_population():
     v = CompartmentVector.from_counts(3.0, 2.0, 1.0, 0.0, 0.0)
     assert v.n == 6.0

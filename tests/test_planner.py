@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -30,6 +31,7 @@ from gridepi.scenario import (
     parse_scenario,
     validate,
 )
+from helpers import random_scenario
 
 
 def _validated(text: str):
@@ -319,27 +321,47 @@ def test_run_episode_charges_the_handed_costs(policy):
 
 
 def test_step_inplace_charges_the_handed_costs():
-    v = _small_space()
-    settings = replace(v.planner, **HANDED_COSTS)
+    # small_space with its last legal action, a costly one whenever one is
+    # legal; then the random rooms and random legal actions of acceptance
+    # criterion 07, which steps them under the rooms' own zero costs
+    small = _small_space()
+    runs = [(small, replace(small.planner, **HANDED_COSTS), 5, lambda actions: actions[-1])]
+    rng = random.Random(777)
+    for _ in range(50):
+        v = validate(random_scenario(rng))
+        seed = rng.randrange(1 << 30)
+        chooser = substream(seed, "plan")
+        runs.append(
+            (
+                v,
+                replace(v.planner, horizon=10, **HANDED_COSTS),
+                seed,
+                lambda actions, chooser=chooser: actions[chooser.randrange(len(actions))],
+            )
+        )
     cost = {
         ActionKind.NOOP: 0.0,
-        ActionKind.MANDATE_MASKS: settings.cost_mask_action,
-        ActionKind.VACCINATE: settings.cost_vax_action,
+        ActionKind.MANDATE_MASKS: HANDED_COSTS["cost_mask_action"],
+        ActionKind.VACCINATE: HANDED_COSTS["cost_vax_action"],
     }
-    state = init_state(v, 5)
-    start = state.clone()
-    env = substream(5, "env")
-    summed = 0.0
-    charged = 0.0
-    for _ in range(settings.horizon):
-        # the last legal action is a costly one whenever one is legal
-        action = available_actions(state, settings)[-1]
-        before = state.clone()
-        step_inplace(state, action, v, settings, env)
-        summed += step_reward(before, state, settings)
-        charged += cost[action.kind]
-    assert state.action_costs == charged < 0
-    assert summed == _closed_form(settings, start, state)
+    accrued = []
+    for v, settings, seed, choose in runs:
+        state = init_state(v, seed)
+        start = state.clone()
+        env = substream(seed, "env")
+        summed = 0.0
+        charged = 0.0
+        for _ in range(settings.horizon):
+            action = choose(available_actions(state, settings))
+            before = state.clone()
+            step_inplace(state, action, v, settings, env)
+            summed += step_reward(before, state, settings)
+            charged += cost[action.kind]
+        assert state.action_costs == charged
+        assert summed == _closed_form(settings, start, state)
+        accrued.append(state.action_costs)
+    assert accrued[0] < 0
+    assert any(costs < 0 for costs in accrued[1:])
 
 
 # ---------------------------------------------------------------------------
