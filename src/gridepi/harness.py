@@ -30,9 +30,10 @@ section. Every value is checked on its own line as the file is read.
 
 The spec types check themselves when built (``dataclasses.replace`` too):
 the per-key rules, ``per_room <= grid_x * grid_y``, at least one classroom
-and at least one person in an experiment's scenario. So files, the CLI
-``--runs`` override and library callers meet one check; a reader reports
-it on the section header line.
+and at least one person in an experiment's scenario. A school's
+``planner`` is a ``PlannerSettings``, which checks itself the same way.
+So files, the CLI ``--runs`` override and library callers meet one
+check; a reader reports it on the section header line.
 
 The school is modeled as identical fully walkable classrooms, one
 simulation per room, with rooms = round-half-to-even(enrollment /
@@ -65,7 +66,6 @@ from .scenario import (
     _any,
     _parse_float,
     _parse_int,
-    _planner_errors,
     density,
     load_scenario,
     parse_value,
@@ -179,7 +179,7 @@ class SchoolBenchmarkSpec:
     planner: PlannerSettings = PlannerSettings(rounds=1)
 
     def __post_init__(self) -> None:
-        errors = rule_errors(_SCHOOL_FIELD_RULES, self) + _planner_errors(self.planner)
+        errors = rule_errors(_SCHOOL_FIELD_RULES, self)
         if not errors and self.per_room > self.grid_x * self.grid_y:
             errors = ["per_room exceeds the classroom tile count"]
         elif not errors and rooms_for(self.enrollment, self.per_room) < 1:

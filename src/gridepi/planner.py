@@ -39,7 +39,7 @@ from .dynamics import (
     vaccinate,
 )
 from .rng import randbelow, substream
-from .scenario import PlannerSettings, ValidatedScenario, check_planner
+from .scenario import PlannerSettings, ValidatedScenario
 
 __all__ = [
     "Action",
@@ -170,11 +170,7 @@ def plan_with_stats(
 
     The stats dict has ``root_visits`` and ``per_action``, a list of
     ``{action, visits, mean_return}`` entries in canonical action order.
-
-    Raises:
-        ScenarioValidationError: If ``settings`` break a ``[planner]`` rule.
     """
-    check_planner(settings)
     horizon = settings.horizon
 
     if settings.uct_iterations <= 0 or state.step >= horizon:
@@ -288,11 +284,9 @@ def run_episode(
 
     Raises:
         ValueError: On an unknown policy name.
-        ScenarioValidationError: If ``settings`` break a ``[planner]`` rule.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
-    check_planner(settings)
     results: list[EpisodeResult] = []
     for r in range(settings.rounds):
         round_seed = seed + r

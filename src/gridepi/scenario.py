@@ -23,7 +23,7 @@ placed person (``S`` susceptible, ``I`` infectious, ``E`` exposed,
 ``R`` recovered, ``V`` pre-vaccinated susceptible). Person ids are
 assigned in row-major scan order. The body ends at the first blank
 line; comments are not allowed inside it because ``#`` is the wall
-glyph.
+glyph. A section header may end in a ``#`` comment.
 
 ``[params]`` and ``[planner]`` are optional ``key=value`` sections.
 Blank lines are ignored and ``#`` starts a comment. Unknown keys are
@@ -99,139 +99,8 @@ class ScenarioValidationError(ScenarioError):
 
 
 # ---------------------------------------------------------------------------
-# Types
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GridMap:
-    """Rectangular tile map. ``tiles`` is row-major, True = walkable."""
-
-    width: int
-    height: int
-    tiles: tuple[bool, ...]
-
-    def in_bounds(self, x: int, y: int) -> bool:
-        return 0 <= x < self.width and 0 <= y < self.height
-
-    def is_walkable(self, x: int, y: int) -> bool:
-        return self.tiles[y * self.width + x]
-
-    @property
-    def total_tiles(self) -> int:
-        return self.width * self.height
-
-    @property
-    def walkable_count(self) -> int:
-        return sum(self.tiles)
-
-    def walkable_positions(self) -> list[tuple[int, int]]:
-        return [(x, y) for y in range(self.height) for x in range(self.width) if self.is_walkable(x, y)]
-
-
-@dataclass(frozen=True)
-class Placement:
-    """One initially placed person."""
-
-    person_id: int
-    position: tuple[int, int]
-    compartment: str  # one of "S", "E", "I", "R"
-    pre_vaccinated: bool = False
-
-
-@dataclass(frozen=True)
-class EpiParams:
-    """Disease and contact parameters.
-
-    ``beta`` is the per-contact transmission probability at distance 1,
-    ``k`` the contact scale divided by Manhattan distance, ``sigma`` the
-    exposed-to-infectious probability, ``gamma``/``mu`` the recovery and
-    death splits on leaving the infectious compartment, and
-    ``infected_persistence`` the per-step probability of remaining
-    infectious. Mask multipliers scale transmission when the susceptible
-    or infectious side is masked; ``vax_protection`` multiplies both the
-    infection and death probability of a vaccinated person.
-    """
-
-    beta: float = 0.78
-    sigma: float = 0.95
-    gamma: float = 0.93
-    mu: float = 0.07
-    k: float = 1.0
-    p_mv: float = 0.5
-    infected_persistence: float = 0.8
-    mask_sus_mult: float = 0.8
-    mask_inf_mult: float = 0.6
-    mask_noncompliance: float = 0.04
-    vax_noncompliance: float = 0.07
-    vax_protection: float = 0.13
-    exposure_radius: int = 1
-
-
-@dataclass(frozen=True)
-class PlannerSettings:
-    """Intervention availability, reward shape, and search budget."""
-
-    masks_available: bool = True
-    vaccines_available: bool = True
-    pen_i: float = -1.0
-    pen_d: float = -5.0
-    cost_mask_action: float = 0.0
-    cost_vax_action: float = 0.0
-    horizon: int = 15
-    rounds: int = 5
-    uct_iterations: int = 500
-    uct_exploration: float = 5.0
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Complete scenario. ``name`` is presentation-only and excluded from
-    structural equality because the file grammar does not carry it."""
-
-    grid: GridMap
-    placements: tuple[Placement, ...]
-    params: EpiParams = EpiParams()
-    planner: PlannerSettings = PlannerSettings()
-    name: str = field(default="scenario", compare=False)
-
-
-@dataclass(frozen=True)
-class ValidatedScenario:
-    """A checked scenario plus derived lookups used by the simulation.
-
-    ``adjacency`` maps every walkable tile to its walkable 4-neighbors in
-    the fixed left/right/down/up order. ``placements`` is sorted by
-    person id.
-    """
-
-    config: ScenarioConfig
-    walkable_count: int
-    population: int
-    placements: tuple[Placement, ...]
-    adjacency: dict[tuple[int, int], tuple[tuple[int, int], ...]]
-    warnings: tuple[str, ...] = ()
-
-    @property
-    def grid(self) -> GridMap:
-        return self.config.grid
-
-    @property
-    def params(self) -> EpiParams:
-        return self.config.params
-
-    @property
-    def planner(self) -> PlannerSettings:
-        return self.config.planner
-
-    @property
-    def name(self) -> str:
-        return self.config.name
-
-
-# ---------------------------------------------------------------------------
 # Value parsing and range rules (shared by every parser, validate(),
-# check_planner() and the harness specs)
+# PlannerSettings and the harness specs)
 # ---------------------------------------------------------------------------
 
 
@@ -323,19 +192,146 @@ def rule_errors(rules: dict[str, tuple], obj: object, prefix: str = "") -> list[
     ]
 
 
-def _planner_errors(settings: PlannerSettings) -> list[str]:
-    """Every ``[planner]`` rule that ``settings`` break."""
-    errors = rule_errors(PLANNER_RULES, settings, "planner.")
-    if settings.pen_d > settings.pen_i:
-        errors.append("planner.pen_d must be <= pen_i (deaths penalized at least as hard)")
-    return errors
+# ---------------------------------------------------------------------------
+# Types
+# ---------------------------------------------------------------------------
 
 
-def check_planner(settings: PlannerSettings) -> None:
-    """Raise ScenarioValidationError if ``settings`` break a planner rule."""
-    errors = _planner_errors(settings)
-    if errors:
-        raise ScenarioValidationError(errors)
+@dataclass(frozen=True)
+class GridMap:
+    """Rectangular tile map. ``tiles`` is row-major, True = walkable."""
+
+    width: int
+    height: int
+    tiles: tuple[bool, ...]
+
+    def in_bounds(self, x: int, y: int) -> bool:
+        return 0 <= x < self.width and 0 <= y < self.height
+
+    def is_walkable(self, x: int, y: int) -> bool:
+        return self.tiles[y * self.width + x]
+
+    @property
+    def total_tiles(self) -> int:
+        return self.width * self.height
+
+    @property
+    def walkable_count(self) -> int:
+        return sum(self.tiles)
+
+    def walkable_positions(self) -> list[tuple[int, int]]:
+        return [(x, y) for y in range(self.height) for x in range(self.width) if self.is_walkable(x, y)]
+
+
+@dataclass(frozen=True)
+class Placement:
+    """One initially placed person."""
+
+    person_id: int
+    position: tuple[int, int]
+    compartment: str  # one of "S", "E", "I", "R"
+    pre_vaccinated: bool = False
+
+
+@dataclass(frozen=True)
+class EpiParams:
+    """Disease and contact parameters.
+
+    ``beta`` is the per-contact transmission probability at distance 1,
+    ``k`` the contact scale divided by Manhattan distance, ``sigma`` the
+    exposed-to-infectious probability, ``gamma``/``mu`` the recovery and
+    death splits on leaving the infectious compartment, and
+    ``infected_persistence`` the per-step probability of remaining
+    infectious. Mask multipliers scale transmission when the susceptible
+    or infectious side is masked; ``vax_protection`` multiplies both the
+    infection and death probability of a vaccinated person.
+    """
+
+    beta: float = 0.78
+    sigma: float = 0.95
+    gamma: float = 0.93
+    mu: float = 0.07
+    k: float = 1.0
+    p_mv: float = 0.5
+    infected_persistence: float = 0.8
+    mask_sus_mult: float = 0.8
+    mask_inf_mult: float = 0.6
+    mask_noncompliance: float = 0.04
+    vax_noncompliance: float = 0.07
+    vax_protection: float = 0.13
+    exposure_radius: int = 1
+
+
+@dataclass(frozen=True)
+class PlannerSettings:
+    """Intervention availability, reward shape, and search budget.
+
+    Built or replaced, it raises ScenarioValidationError listing every
+    broken ``PLANNER_RULES`` entry and a ``pen_d`` above ``pen_i``.
+    """
+
+    masks_available: bool = True
+    vaccines_available: bool = True
+    pen_i: float = -1.0
+    pen_d: float = -5.0
+    cost_mask_action: float = 0.0
+    cost_vax_action: float = 0.0
+    horizon: int = 15
+    rounds: int = 5
+    uct_iterations: int = 500
+    uct_exploration: float = 5.0
+
+    def __post_init__(self) -> None:
+        errors = rule_errors(PLANNER_RULES, self, "planner.")
+        if self.pen_d > self.pen_i:
+            errors.append("planner.pen_d must be <= pen_i (deaths penalized at least as hard)")
+        if errors:
+            raise ScenarioValidationError(errors)
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    """Complete scenario. ``name`` is presentation-only and excluded from
+    structural equality because the file grammar does not carry it."""
+
+    grid: GridMap
+    placements: tuple[Placement, ...]
+    params: EpiParams = EpiParams()
+    planner: PlannerSettings = PlannerSettings()
+    name: str = field(default="scenario", compare=False)
+
+
+@dataclass(frozen=True)
+class ValidatedScenario:
+    """A checked scenario plus derived lookups used by the simulation.
+
+    ``adjacency`` maps every walkable tile to its walkable 4-neighbors in
+    the fixed left/right/down/up order. ``placements`` is sorted by
+    person id.
+    """
+
+    config: ScenarioConfig
+    walkable_count: int
+    population: int
+    placements: tuple[Placement, ...]
+    adjacency: dict[tuple[int, int], tuple[tuple[int, int], ...]]
+    warnings: tuple[str, ...] = ()
+
+    @property
+    def grid(self) -> GridMap:
+        return self.config.grid
+
+    @property
+    def params(self) -> EpiParams:
+        return self.config.params
+
+    @property
+    def planner(self) -> PlannerSettings:
+        return self.config.planner
+
+    @property
+    def name(self) -> str:
+        return self.config.name
 
 
 # ---------------------------------------------------------------------------
@@ -358,31 +354,34 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioConfig:
     Raises:
         ScenarioParseError: On any grammar, glyph, key, or range problem,
             with 1-based line (and column where it applies) information.
+            A ``pen_d`` above ``pen_i`` fails on the ``[planner]`` header.
     """
     grid_rows: list[str] = []
     grid_done = False
     section: str | None = None
-    seen: list[str] = []
+    header_lines: dict[str, int] = {}
     values: dict[str, dict[str, object]] = {"params": {}, "planner": {}}
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         stripped = raw.strip()
+        # "[" is never a grid glyph, so a header may end in a comment
+        head = stripped.split("#", 1)[0].rstrip()
 
-        if stripped.startswith("[") and stripped.endswith("]") and len(stripped) > 2:
-            header = stripped[1:-1]
+        if head.startswith("[") and head.endswith("]") and len(head) > 2:
+            header = head[1:-1]
             if header not in _SECTION_ORDER:
                 raise ScenarioParseError(f"unknown section [{header}]", lineno)
-            if header in seen:
+            if header in header_lines:
                 raise ScenarioParseError(f"duplicate section [{header}]", lineno)
-            if not seen and header != "grid":
+            if section is None and header != "grid":
                 raise ScenarioParseError("first section must be [grid]", lineno)
-            if seen and _SECTION_ORDER[header] < _SECTION_ORDER[seen[-1]]:
+            if section is not None and _SECTION_ORDER[header] < _SECTION_ORDER[section]:
                 raise ScenarioParseError(
-                    f"section [{header}] must come before [{seen[-1]}]", lineno
+                    f"section [{header}] must come before [{section}]", lineno
                 )
             if section == "grid" and not grid_rows:
                 raise ScenarioParseError("[grid] section has no rows", lineno)
-            seen.append(header)
+            header_lines[header] = lineno
             section = header
             continue
 
@@ -425,7 +424,7 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioConfig:
             raise ScenarioParseError(f"duplicate key {key!r} in [{section}]", lineno)
         values[section][key] = parse_value(rules, key, value_text, lineno)
 
-    if "grid" not in seen:
+    if section is None:
         raise ScenarioParseError("missing [grid] section")
     if not grid_rows:
         raise ScenarioParseError("[grid] section has no rows")
@@ -443,11 +442,16 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioConfig:
                     Placement(len(placements), (x, y), compartment, pre_vax)
                 )
 
+    try:
+        planner = PlannerSettings(**values["planner"])
+    except ScenarioValidationError as exc:
+        # each value passed on its own line, so only pen_d <= pen_i is left
+        raise ScenarioParseError(str(exc), header_lines["planner"]) from None
     return ScenarioConfig(
         grid=GridMap(width, height, tuple(tiles)),
         placements=tuple(placements),
         params=EpiParams(**values["params"]),
-        planner=PlannerSettings(**values["planner"]),
+        planner=planner,
         name=name,
     )
 
@@ -556,7 +560,6 @@ def validate(config: ScenarioConfig) -> ValidatedScenario:
         errors.append("grid has no walkable tiles")
 
     errors += rule_errors(PARAM_RULES, config.params, "params.")
-    errors += _planner_errors(config.planner)
 
     n = len(config.placements)
     ids = sorted(pl.person_id for pl in config.placements)

@@ -355,12 +355,11 @@ def test_school_spec_checks_itself():
     with pytest.raises(ScenarioValidationError, match="per_room exceeds"):
         replace(school, per_room=5)
     with pytest.raises(ScenarioValidationError) as info:
-        replace(school, enrollment=0, grid_y=0, planner=PlannerSettings(rounds=0))
-    assert info.value.errors == [
-        "enrollment must be >= 1",
-        "grid_y must be >= 1",
-        "planner.rounds must be >= 1",
-    ]
+        replace(school, enrollment=0, grid_y=0)
+    assert info.value.errors == ["enrollment must be >= 1", "grid_y must be >= 1"]
+    with pytest.raises(ScenarioValidationError) as info:
+        PlannerSettings(rounds=0)
+    assert info.value.errors == ["planner.rounds must be >= 1"]
 
 
 def test_parse_benchmark_planner_overrides(tmp_path):

@@ -392,12 +392,11 @@ def test_plan_zero_budget_returns_noop():
 )
 def test_invalid_settings_are_rejected(patch, error):
     v = _small_space()
-    settings = replace(v.planner, **patch)
     with pytest.raises(ScenarioValidationError) as info:
-        run_episode(v, settings, "noop", 0)
+        replace(v.planner, **patch)
     assert info.value.errors == [error]
     with pytest.raises(ScenarioValidationError) as info:
-        plan_with_stats(init_state(v, 0), v, settings, substream(0, "plan"))
+        PlannerSettings(**patch)
     assert info.value.errors == [error]
 
 

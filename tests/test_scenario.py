@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 
 from gridepi import assets
 from gridepi.scenario import (
+    PARAM_RULES,
+    PLANNER_RULES,
     EpiParams,
     GridMap,
     Placement,
@@ -151,6 +154,38 @@ def test_parse_error_carries_line_number():
         assert exc.line == 5
     else:  # pragma: no cover
         pytest.fail("expected a parse error")
+
+
+def test_pen_d_above_pen_i_fails_on_the_planner_header():
+    with pytest.raises(ScenarioParseError) as info:
+        parse_scenario("[grid]\nSI\n\n[planner]\npen_i=-5\npen_d=-1\n")
+    assert info.value.line == 4
+    assert str(info.value) == (
+        "line 4: planner.pen_d must be <= pen_i (deaths penalized at least as hard)"
+    )
+
+
+@pytest.mark.parametrize(
+    "text,plain",
+    [
+        ("[grid]  # floor\nSI\n", "[grid]\nSI\n"),
+        (
+            "[grid]\nSI\n[params] # disease\nbeta=0.5\n",
+            "[grid]\nSI\n[params]\nbeta=0.5\n",
+        ),
+        (
+            "[grid]\nSI\n\n[params]\nbeta=0.5\n[planner]  # budget\nhorizon=3\n",
+            "[grid]\nSI\n\n[params]\nbeta=0.5\n[planner]\nhorizon=3\n",
+        ),
+    ],
+)
+def test_section_header_may_end_in_a_comment(text, plain):
+    assert parse_scenario(text) == parse_scenario(plain)
+
+
+def test_rule_tables_name_every_field():
+    assert set(PARAM_RULES) == {f.name for f in fields(EpiParams)}
+    assert set(PLANNER_RULES) == {f.name for f in fields(PlannerSettings)}
 
 
 def test_load_skips_leading_byte_order_mark(tmp_path):
@@ -320,13 +355,13 @@ def test_validate_rejects_all_walls():
         validate(config)
 
 
-def test_validate_rejects_pen_d_above_pen_i():
-    config = parse_scenario("[grid]\nSI\n")
-    from dataclasses import replace
-
-    bad = replace(config, planner=replace(config.planner, pen_i=-5.0, pen_d=-1.0))
-    with pytest.raises(ScenarioValidationError, match="pen_d"):
-        validate(bad)
+def test_settings_reject_pen_d_above_pen_i():
+    planner = parse_scenario("[grid]\nSI\n").planner
+    with pytest.raises(ScenarioValidationError) as info:
+        replace(planner, pen_i=-5.0, pen_d=-1.0)
+    assert info.value.errors == [
+        "planner.pen_d must be <= pen_i (deaths penalized at least as hard)"
+    ]
 
 
 def test_validate_lists_all_errors():

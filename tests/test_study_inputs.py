@@ -59,6 +59,12 @@ ZERO_CLASSROOMS = (
 )
 RUNS_ZERO = "[experiment]\nscenario = room.scn\nruns = 0\n"
 NUL_PATH = "[experiment]\nscenario = a\0b.scn\n"
+PEN_D_ABOVE_PEN_I = "[grid]\nSI\n\n[planner]\npen_i=-5\npen_d=-1\n"
+HEADER_COMMENTS = (
+    "[grid]  # floor\nSI\n",
+    "[grid]\nSI\n[params] # disease\nbeta=0.5\n",
+    "[grid]\nSI\n\n[params]\nbeta=0.5\n[planner]  # budget\nhorizon=3\n",
+)
 
 # no lone surrogates: every drawn text can be written as UTF-8
 ANY_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=200)
@@ -113,6 +119,10 @@ def study_dir(tmp_path_factory):
         ),
     )
 )
+@example(PEN_D_ABOVE_PEN_I)
+@example(HEADER_COMMENTS[0])
+@example(HEADER_COMMENTS[1])
+@example(HEADER_COMMENTS[2])
 @FUZZ
 def test_parse_scenario_parses_or_fails_on_a_line(text):
     try:
