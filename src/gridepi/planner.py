@@ -12,7 +12,10 @@ planning stream, so node statistics average over outcomes rather than
 conditioning on one sampled successor. Rollouts play uniformly random
 legal actions to the episode horizon, returns are undiscounted sums of
 step rewards, and the recommended action is the root child with the most
-visits (ties broken by fixed action order).
+visits (ties broken by fixed action order). At a quiescent root (no
+exposed or infectious person, zero action costs) every return is exactly
+0.0, so the root statistics are replayed from the UCB1 selections alone,
+without simulating or drawing.
 
 The ``settings`` handed to :func:`plan_with_stats` and :func:`run_episode`
 govern the run, action costs included, in place of the scenario's own.
@@ -28,6 +31,7 @@ from .dynamics import (
     NOOP,
     Action,
     ActionKind,
+    Compartment,
     IllegalActionError,
     SimState,
     StepEvent,
@@ -160,27 +164,18 @@ def _select(node: SearchNode, actions: list[Action], exploration: float) -> Acti
     return best_action
 
 
-def plan_with_stats(
+def _search(
+    root: SearchNode,
     state: SimState,
     validated: ValidatedScenario,
     settings: PlannerSettings,
     rng,
-) -> tuple[Action, dict]:
-    """UCT recommendation plus root statistics for decision logging.
-
-    The stats dict has ``root_visits`` and ``per_action``, a list of
-    ``{action, visits, mean_return}`` entries in canonical action order.
-    """
+) -> None:
+    """Run ``settings.uct_iterations`` UCT iterations from ``state`` into
+    ``root``: descend by UCB1, expand the first untried action, roll out
+    to the horizon and back every return up the path."""
     horizon = settings.horizon
-
-    if settings.uct_iterations <= 0 or state.step >= horizon:
-        return NOOP, {"root_visits": 0, "per_action": []}
-    root_actions = available_actions(state, settings)
-    if len(root_actions) == 1:
-        return root_actions[0], {"root_visits": 0, "per_action": []}
-
     exploration = settings.uct_exploration
-    root = SearchNode()
     for _ in range(settings.uct_iterations):
         sim = state.clone()
         node = root
@@ -205,6 +200,42 @@ def plan_with_stats(
             visited.visit_count += 1
             visited.total_return += total
 
+
+_SPREADING = (Compartment.E, Compartment.I)
+
+
+def _quiescent(state: SimState, settings: PlannerSettings) -> bool:
+    """No action costs and no exposed or infectious person: S stays S and
+    R and D are absorbing, so every return from ``state`` is exactly
+    ``pen_i * 0 + pen_d * 0 + 0.0 == 0.0`` (the penalties are finite)."""
+    return (
+        settings.cost_mask_action == 0.0
+        and settings.cost_vax_action == 0.0
+        and not any(p.compartment in _SPREADING for p in state.persons)
+    )
+
+
+def _idle_search(
+    root: SearchNode, root_actions: list[Action], iterations: int, exploration: float
+) -> None:
+    """Fill ``root`` as :func:`_search` does where every return is 0.0.
+
+    Iteration i < k expands ``root_actions[i]`` and every later one takes
+    :func:`_select`, exactly as the search does; with each return 0.0
+    the root statistics depend on nothing else. Nothing is simulated and
+    nothing is drawn."""
+    children = root.children
+    for i in range(iterations):
+        if i < len(root_actions):
+            child = children[root_actions[i]] = SearchNode()
+        else:
+            child = children[_select(root, root_actions, exploration)]
+        child.visit_count += 1
+        root.visit_count += 1
+
+
+def _recommend(root: SearchNode) -> tuple[Action, dict]:
+    """The most-visited root child plus the root statistics."""
     children = root.children
     ranked = sorted(children)
     per_action = [
@@ -220,6 +251,38 @@ def plan_with_stats(
     return best_action, {"root_visits": root.visit_count, "per_action": per_action}
 
 
+def plan_with_stats(
+    state: SimState,
+    validated: ValidatedScenario,
+    settings: PlannerSettings,
+    rng,
+) -> tuple[Action, dict]:
+    """UCT recommendation plus root statistics for decision logging.
+
+    The stats dict has ``root_visits`` and ``per_action``, a list of
+    ``{action, visits, mean_return}`` entries in canonical action order.
+
+    A root with no exposed or infectious person under zero action costs
+    is quiescent: no one can be infected or die again, so every return
+    of the search is exactly 0.0. There the root statistics are replayed
+    by :func:`_idle_search`, equal to the search's, and nothing is drawn
+    from ``rng``. In :func:`run_episode` every later root of the round is
+    quiescent too, so the stream is not read again there.
+    """
+    if settings.uct_iterations <= 0 or state.step >= settings.horizon:
+        return NOOP, {"root_visits": 0, "per_action": []}
+    root_actions = available_actions(state, settings)
+    if len(root_actions) == 1:
+        return root_actions[0], {"root_visits": 0, "per_action": []}
+
+    root = SearchNode()
+    if _quiescent(state, settings):
+        _idle_search(root, root_actions, settings.uct_iterations, settings.uct_exploration)
+    else:
+        _search(root, state, validated, settings, rng)
+    return _recommend(root)
+
+
 def plan(
     state: SimState,
     validated: ValidatedScenario,
@@ -228,7 +291,8 @@ def plan(
 ) -> Action:
     """Recommend an action for ``state`` within the iteration budget.
 
-    Uses only the supplied planning stream; the state is never mutated,
+    Uses only the supplied planning stream, and draws nothing from it at
+    a quiescent root with zero action costs; the state is never mutated,
     so planning cannot perturb the environment. A zero iteration budget
     degrades to noop.
     """

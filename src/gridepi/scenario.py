@@ -33,6 +33,7 @@ rejected; omitted keys take the defaults baked into
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -130,6 +131,24 @@ def _in_unit(v: float) -> bool:
 
 def _any(v: object) -> bool:
     return True
+
+
+def _is_finite_number(v: object) -> bool:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+# converter -> (type predicate, type description): the type a value built
+# in code must have before its range rule applies; a converted value has it
+_VALUE_TYPES: dict = {
+    _parse_bool: (lambda v: isinstance(v, bool), "must be a bool"),
+    _parse_int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "must be an int"),
+    _parse_float: (_is_finite_number, "must be a finite number"),
+}
 
 
 # key -> (converter, range predicate, range description)
@@ -267,7 +286,10 @@ class PlannerSettings:
     """Intervention availability, reward shape, and search budget.
 
     Built or replaced, it raises ScenarioValidationError listing every
-    broken ``PLANNER_RULES`` entry and a ``pen_d`` above ``pen_i``.
+    field of the wrong type (booleans ``bool``, integers ``int``, floats
+    a finite ``int`` or ``float``; never a ``bool`` for a number) or,
+    once the types hold, every broken ``PLANNER_RULES`` entry and a
+    ``pen_d`` above ``pen_i``.
     """
 
     masks_available: bool = True
@@ -282,9 +304,15 @@ class PlannerSettings:
     uct_exploration: float = 5.0
 
     def __post_init__(self) -> None:
-        errors = rule_errors(PLANNER_RULES, self, "planner.")
-        if self.pen_d > self.pen_i:
-            errors.append("planner.pen_d must be <= pen_i (deaths penalized at least as hard)")
+        errors = [
+            f"planner.{key} {_VALUE_TYPES[converter][1]}"
+            for key, (converter, _, _) in PLANNER_RULES.items()
+            if not _VALUE_TYPES[converter][0](getattr(self, key))
+        ]
+        if not errors:
+            errors = rule_errors(PLANNER_RULES, self, "planner.")
+            if self.pen_d > self.pen_i:
+                errors.append("planner.pen_d must be <= pen_i (deaths penalized at least as hard)")
         if errors:
             raise ScenarioValidationError(errors)
 

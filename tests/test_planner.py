@@ -6,6 +6,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import assume, given, settings as hypothesis_settings
+from hypothesis import strategies as st
 
 from gridepi import assets
 from gridepi.dynamics import Compartment, census, init_state, step, step_inplace
@@ -15,6 +17,9 @@ from gridepi.planner import (
     Action,
     ActionKind,
     IllegalActionError,
+    SearchNode,
+    _recommend,
+    _search,
     apply_action_inplace,
     available_actions,
     plan,
@@ -460,6 +465,103 @@ def test_plan_breaks_visit_ties_by_canonical_order():
     labels = [row["action"] for row in stats["per_action"]]
     assert labels == ["noop", "mandate_masks", "vaccinate:0", "vaccinate:1", "vaccinate:3"]
     assert [row["visits"] for row in stats["per_action"]] == [1] * 5
+
+
+_BUNDLED_ROOMS = {
+    name: validate(load_scenario(assets.asset_path(name)))
+    for name in ("small_space.scn", "small_crowded.scn", "larger_space.scn", "larger_crowded.scn")
+}
+_SPREADING = (Compartment.E, Compartment.I)
+
+
+@st.composite
+def _quiescent_roots(draw):
+    """A bundled room's state with no exposed or infectious person, zero
+    action costs and a budget around the root's action count k."""
+    v = _BUNDLED_ROOMS[draw(st.sampled_from(sorted(_BUNDLED_ROOMS)))]
+    state = init_state(v, draw(st.integers(0, 2**16)))
+    for p in state.persons:
+        if p.compartment in _SPREADING:
+            p.compartment = draw(st.sampled_from([Compartment.S, Compartment.R, Compartment.D]))
+        p.vaccinated = draw(st.booleans())
+    state.mask_mandate_active = draw(st.booleans())
+    for p in state.persons:
+        p.masked = (
+            state.mask_mandate_active and not p.mask_refuser and p.compartment is not Compartment.D
+        )
+    masks, vaccines = draw(st.sampled_from([(True, False), (False, True), (True, True)]))
+    settings = replace(
+        v.planner,
+        masks_available=masks,
+        vaccines_available=vaccines,
+        cost_mask_action=0.0,
+        cost_vax_action=0.0,
+    )
+    state.step = draw(st.integers(0, settings.horizon - 1))
+    k = len(available_actions(state, settings))
+    assume(k > 1)
+    settings = replace(
+        settings,
+        uct_iterations=draw(st.sampled_from([1, 2, k - 1, k, k + 1, 64])),
+        uct_exploration=draw(st.sampled_from([5.0, 0.1, 1e-310, 5e-324, 1e308])),
+    )
+    return v, state, settings
+
+
+@hypothesis_settings(derandomize=True, deadline=None, max_examples=120)
+@given(_quiescent_roots())
+def test_quiescent_root_replay_equals_the_search(root):
+    v, state, settings = root
+    searched = SearchNode()
+    _search(searched, state, v, settings, substream(0, "plan"))
+    expected = _recommend(searched)
+    got = plan_with_stats(state, v, settings, substream(0, "plan"))
+    assert got == expected
+    assert repr(got) == repr(expected)  # the same signs of zero too
+
+
+def _quiescent_small_space():
+    v = _small_space()
+    state = init_state(v, 0)
+    for p in state.persons:
+        if p.compartment in _SPREADING:
+            p.compartment = Compartment.R
+    return v, state
+
+
+def _searched(state, v, settings):
+    """plan_with_stats's stats, and whether it drew from its stream."""
+    rng = substream(0, "plan")
+    before = rng.getstate()
+    _, stats = plan_with_stats(state, v, settings, rng)
+    return stats, rng.getstate() != before
+
+
+def test_plan_draws_nothing_at_a_quiescent_root():
+    v, state = _quiescent_small_space()
+    stats, drew = _searched(state, v, replace(v.planner, uct_iterations=64))
+    assert not drew
+    assert stats["root_visits"] == 64
+    assert all(row["mean_return"] == 0.0 for row in stats["per_action"])
+
+
+def test_plan_searches_a_quiescent_root_with_an_action_cost():
+    v, state = _quiescent_small_space()
+    settings = replace(v.planner, uct_iterations=64, cost_vax_action=-0.125)
+    stats, drew = _searched(state, v, settings)
+    assert drew
+    vaccinations = [row for row in stats["per_action"] if row["action"].startswith("vaccinate:")]
+    assert vaccinations
+    assert all(row["mean_return"] < 0 for row in vaccinations)
+
+
+def test_plan_searches_a_root_with_an_exposed_person():
+    # E can still become I, so the root is not quiescent
+    v, state = _quiescent_small_space()
+    state.persons[0].compartment = Compartment.E
+    stats, drew = _searched(state, v, replace(v.planner, uct_iterations=64))
+    assert drew
+    assert stats["root_visits"] == 64
 
 
 def test_plan_invariant_under_joint_reward_scaling():

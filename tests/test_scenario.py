@@ -364,6 +364,31 @@ def test_settings_reject_pen_d_above_pen_i():
     ]
 
 
+@pytest.mark.parametrize(
+    "patch, error",
+    [
+        ({"rounds": 2.0}, "planner.rounds must be an int"),
+        ({"pen_i": float("-inf")}, "planner.pen_i must be a finite number"),
+        ({"cost_mask_action": float("-inf")}, "planner.cost_mask_action must be a finite number"),
+        ({"uct_exploration": float("inf")}, "planner.uct_exploration must be a finite number"),
+        ({"masks_available": "no"}, "planner.masks_available must be a bool"),
+        ({"horizon": True}, "planner.horizon must be an int"),
+    ],
+)
+def test_settings_reject_wrong_types_and_non_finite_numbers(patch, error):
+    with pytest.raises(ScenarioValidationError) as info:
+        PlannerSettings(**patch)
+    assert info.value.errors == [error]
+    with pytest.raises(ScenarioValidationError) as info:
+        replace(PlannerSettings(), **patch)
+    assert info.value.errors == [error]
+
+
+def test_settings_accept_ints_for_floats():
+    settings = PlannerSettings(pen_i=-1, pen_d=-5, cost_vax_action=0, uct_exploration=2)
+    assert settings.uct_exploration == 2
+
+
 def test_validate_lists_all_errors():
     config = ScenarioConfig(
         grid=_grid2(),
