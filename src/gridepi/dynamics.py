@@ -118,9 +118,6 @@ class StepEvent:
     person_id: int
     detail: str = ""
 
-    def to_json(self) -> str:
-        return events_to_jsonl([self])[:-1]
-
 
 def events_to_jsonl(events: list[StepEvent]) -> str:
     """Render events as JSON lines, one object per line.

@@ -1,8 +1,9 @@
 """Batch experiments: density/intervention sweeps and school benchmarks.
 
-Experiment definition files reuse the sectioned key=value syntax of
-scenario files. A sweep file holds one ``[experiment]`` section per
-scenario::
+Experiment and benchmark files share the scenario files' grammar of
+``[name]`` headers, ``#`` comments and ``key=value`` lines, read by
+:func:`scenario.split_sections` and :func:`scenario.read_values`. A sweep
+file holds one ``[experiment]`` section per scenario::
 
     [experiment]
     scenario=small_space.scn        # path relative to this file
@@ -26,12 +27,12 @@ section per site::
 The optional ``[school]`` keys ``horizon``, ``rounds``, ``uct_iterations``
 and ``uct_exploration`` set the classroom planner budget (default: one
 round) and follow the same rules as in a scenario's ``[planner]``
-section. Every value is checked on its own line as the file is read.
+section. Every value is checked on its own line before any spec is built.
 
 The spec types check themselves when built (``dataclasses.replace`` too):
-the per-key rules, ``per_room <= grid_x * grid_y``, at least one classroom
-and at least one person in an experiment's scenario. A school's
-``planner`` is a ``PlannerSettings``, which checks itself the same way.
+the per-key types and rules, ``per_room <= grid_x * grid_y``, at least
+one classroom and at least one person in an experiment's scenario. A
+school's ``planner`` is a ``PlannerSettings``, which checks itself too.
 So files, the CLI ``--runs`` override and library callers meet one
 check; a reader reports it on the section header line.
 
@@ -68,8 +69,9 @@ from .scenario import (
     _parse_int,
     density,
     load_scenario,
-    parse_value,
+    read_values,
     rule_errors,
+    split_sections,
     validate,
 )
 
@@ -110,7 +112,10 @@ class ExperimentSpec:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        errors = rule_errors(EXPERIMENT_RULES, self)
+        rules = dict(EXPERIMENT_RULES)
+        if self.seed is None:  # the run's default seed is used
+            del rules["seed"]
+        errors = rule_errors(rules, self)
         if errors or not self.scenario.placements:
             raise ScenarioValidationError(errors or ["scenario has no persons"])
 
@@ -271,32 +276,15 @@ def _read_specs(
     text: str, header: str, rules: dict[str, tuple], required: tuple[str, ...], build
 ) -> list:
     """Build one spec per repeated ``[header]`` section of sectioned
-    key=value text. Each value is converted and range-checked by ``rules``
-    on its own line; a missing ``required`` key and the spec's own rule
-    errors, raised by ``build(values)``, are reported on the header line."""
-    sections: list[tuple[int, dict[str, object]]] = []
-    current: dict[str, object] | None = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        content = raw.split("#", 1)[0].strip()
-        if not content:
-            continue
-        if content.startswith("[") and content.endswith("]") and len(content) > 2:
-            if content[1:-1] != header:
-                raise ScenarioParseError(f"unknown section {content}", lineno)
-            current = {}
-            sections.append((lineno, current))
-            continue
-        if current is None:
-            raise ScenarioParseError("content before first section", lineno)
-        if "=" not in content:
-            raise ScenarioParseError("expected key=value", lineno)
-        key, _, value = content.partition("=")
-        key = key.strip()
-        if key in current:
-            raise ScenarioParseError(f"duplicate key {key!r}", lineno)
-        if key not in rules:
-            raise ScenarioParseError(f"unknown key {key!r} in [{header}]", lineno)
-        current[key] = parse_value(rules, key, value.strip(), lineno)
+    key=value text (see :func:`scenario.read_values`). Every section's
+    values are read before any ``build(values)`` runs; a missing
+    ``required`` key and the spec's own rule errors, raised by ``build``,
+    are reported on the header line."""
+    sections = []
+    for name, lineno, body in split_sections(text):
+        if name != header:
+            raise ScenarioParseError(f"unknown section [{name}]", lineno)
+        sections.append((lineno, read_values(rules, header, body)))
     if not sections:
         raise ScenarioParseError(f"no [{header}] sections found")
     specs = []

@@ -202,9 +202,20 @@ def parse_value(rules: dict[str, tuple], key: str, text: str, lineno: int) -> ob
     return value
 
 
-def rule_errors(rules: dict[str, tuple], obj: object, prefix: str = "") -> list[str]:
-    """``<prefix><key> <description>`` for each rule ``obj.<key>`` breaks."""
+def type_errors(rules: dict[str, tuple], obj: object, prefix: str = "") -> list[str]:
+    """``<prefix><key> <type description>`` for each ``obj.<key>`` whose
+    rule's converter is in ``_VALUE_TYPES`` and whose type does not fit it."""
     return [
+        f"{prefix}{key} {_VALUE_TYPES[converter][1]}"
+        for key, (converter, _, _) in rules.items()
+        if converter in _VALUE_TYPES and not _VALUE_TYPES[converter][0](getattr(obj, key))
+    ]
+
+
+def rule_errors(rules: dict[str, tuple], obj: object, prefix: str = "") -> list[str]:
+    """The :func:`type_errors` of ``obj`` or, once every type holds,
+    ``<prefix><key> <description>`` for each range rule ``obj.<key>`` breaks."""
+    return type_errors(rules, obj, prefix) or [
         f"{prefix}{key} {description}"
         for key, (_, predicate, description) in rules.items()
         if not predicate(getattr(obj, key))
@@ -304,11 +315,7 @@ class PlannerSettings:
     uct_exploration: float = 5.0
 
     def __post_init__(self) -> None:
-        errors = [
-            f"planner.{key} {_VALUE_TYPES[converter][1]}"
-            for key, (converter, _, _) in PLANNER_RULES.items()
-            if not _VALUE_TYPES[converter][0](getattr(self, key))
-        ]
+        errors = type_errors(PLANNER_RULES, self, "planner.")
         if not errors:
             errors = rule_errors(PLANNER_RULES, self, "planner.")
             if self.pen_d > self.pen_i:
@@ -367,6 +374,47 @@ class ValidatedScenario:
 # ---------------------------------------------------------------------------
 
 
+def split_sections(text: str) -> list[tuple[str, int, list[tuple[int, str]]]]:
+    """``(name, header line, body)`` per section of sectioned text, where a
+    header is a line whose text before any ``#`` is ``[name]`` and a body
+    holds the section's ``(line number, raw line)`` pairs. Only blank and
+    comment lines may come before the first header."""
+    sections: list[tuple[str, int, list[tuple[int, str]]]] = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        # "[" is never a grid glyph, so a header may end in a comment
+        head = raw.split("#", 1)[0].strip()
+        if head.startswith("[") and head.endswith("]") and len(head) > 2:
+            sections.append((head[1:-1], lineno, []))
+        elif sections:
+            sections[-1][2].append((lineno, raw))
+        elif head:
+            raise ScenarioParseError("content before first section", lineno)
+    return sections
+
+
+def read_values(
+    rules: dict[str, tuple], section: str, body: list[tuple[int, str]]
+) -> dict[str, object]:
+    """The ``key=value`` lines of a section body, each converted and
+    range-checked on its own line by :func:`parse_value`. Blank lines are
+    skipped, ``#`` starts a comment, and unknown or duplicate keys fail."""
+    values: dict[str, object] = {}
+    for lineno, raw in body:
+        content = raw.split("#", 1)[0].strip()
+        if not content:
+            continue
+        if "=" not in content:
+            raise ScenarioParseError("expected key=value", lineno)
+        key, _, value_text = content.partition("=")
+        key = key.strip()
+        if key not in rules:
+            raise ScenarioParseError(f"unknown key {key!r} in [{section}]", lineno)
+        if key in values:
+            raise ScenarioParseError(f"duplicate key {key!r} in [{section}]", lineno)
+        values[key] = parse_value(rules, key, value_text.strip(), lineno)
+    return values
+
+
 def parse_scenario(text: str, name: str = "scenario") -> ScenarioConfig:
     """Parse scenario text into a :class:`ScenarioConfig`.
 
@@ -384,78 +432,44 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioConfig:
             with 1-based line (and column where it applies) information.
             A ``pen_d`` above ``pen_i`` fails on the ``[planner]`` header.
     """
-    grid_rows: list[str] = []
-    grid_done = False
+    sections = split_sections(text)
+    if not sections:
+        raise ScenarioParseError("missing [grid] section")
     section: str | None = None
     header_lines: dict[str, int] = {}
     values: dict[str, dict[str, object]] = {"params": {}, "planner": {}}
-
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        stripped = raw.strip()
-        # "[" is never a grid glyph, so a header may end in a comment
-        head = stripped.split("#", 1)[0].rstrip()
-
-        if head.startswith("[") and head.endswith("]") and len(head) > 2:
-            header = head[1:-1]
-            if header not in _SECTION_ORDER:
-                raise ScenarioParseError(f"unknown section [{header}]", lineno)
-            if header in header_lines:
-                raise ScenarioParseError(f"duplicate section [{header}]", lineno)
-            if section is None and header != "grid":
-                raise ScenarioParseError("first section must be [grid]", lineno)
-            if section is not None and _SECTION_ORDER[header] < _SECTION_ORDER[section]:
-                raise ScenarioParseError(
-                    f"section [{header}] must come before [{section}]", lineno
-                )
-            if section == "grid" and not grid_rows:
-                raise ScenarioParseError("[grid] section has no rows", lineno)
-            header_lines[header] = lineno
-            section = header
+    for header, header_line, body in sections:
+        if header not in _SECTION_ORDER:
+            raise ScenarioParseError(f"unknown section [{header}]", header_line)
+        if header in header_lines:
+            raise ScenarioParseError(f"duplicate section [{header}]", header_line)
+        if section is None and header != "grid":
+            raise ScenarioParseError("first section must be [grid]", header_line)
+        if section is not None and _SECTION_ORDER[header] < _SECTION_ORDER[section]:
+            raise ScenarioParseError(f"section [{header}] must come before [{section}]", header_line)
+        header_lines[header] = header_line
+        section = header
+        if header != "grid":
+            rules = PARAM_RULES if header == "params" else PLANNER_RULES
+            values[header] = read_values(rules, header, body)
             continue
-
-        if section is None:
-            if not stripped or stripped.startswith("#"):
-                continue
-            raise ScenarioParseError("content before [grid] section", lineno)
-
-        if section == "grid":
-            if not stripped:
-                if grid_rows:
-                    grid_done = True
-                continue
-            if grid_done:
-                raise ScenarioParseError("unexpected content after grid body", lineno)
+        grid_rows: list[str] = []
+        grid_done = False
+        for lineno, raw in body:
             row = raw.rstrip()
-            if grid_rows and len(row) != len(grid_rows[0]):
+            if not row:
+                grid_done = bool(grid_rows)
+            elif grid_done:
+                raise ScenarioParseError("unexpected content after grid body", lineno)
+            elif grid_rows and len(row) != len(grid_rows[0]):
                 raise ScenarioParseError(f"ragged grid at line {lineno}", lineno)
-            for col, ch in enumerate(row, 1):
-                if ch not in GRID_ALPHABET:
-                    raise ScenarioParseError(
-                        f"invalid grid glyph {ch!r}", lineno, col
-                    )
-            grid_rows.append(row)
-            continue
-
-        # key=value sections
-        content = raw.split("#", 1)[0].strip()
-        if not content:
-            continue
-        if "=" not in content:
-            raise ScenarioParseError("expected key=value", lineno)
-        key, _, value_text = content.partition("=")
-        key = key.strip()
-        value_text = value_text.strip()
-        rules = PARAM_RULES if section == "params" else PLANNER_RULES
-        if key not in rules:
-            raise ScenarioParseError(f"unknown key {key!r} in [{section}]", lineno)
-        if key in values[section]:
-            raise ScenarioParseError(f"duplicate key {key!r} in [{section}]", lineno)
-        values[section][key] = parse_value(rules, key, value_text, lineno)
-
-    if section is None:
-        raise ScenarioParseError("missing [grid] section")
-    if not grid_rows:
-        raise ScenarioParseError("[grid] section has no rows")
+            else:
+                for col, ch in enumerate(row, 1):
+                    if ch not in GRID_ALPHABET:
+                        raise ScenarioParseError(f"invalid grid glyph {ch!r}", lineno, col)
+                grid_rows.append(row)
+        if not grid_rows:
+            raise ScenarioParseError("[grid] section has no rows", header_line)
 
     width = len(grid_rows[0])
     height = len(grid_rows)

@@ -13,6 +13,7 @@ from gridepi.harness import (
     BENCHMARK_CSV_HEADER,
     BenchmarkMetrics,
     EXPERIMENT_CSV_HEADER,
+    ExperimentSpec,
     RunMetrics,
     VARIATIONS,
     emit_results,
@@ -221,6 +222,17 @@ def test_experiment_spec_checks_itself(tmp_path):
     assert info.value.errors == ["runs must be >= 1"]
 
 
+@pytest.mark.parametrize(
+    "patch, error", [({"runs": 1.5}, "runs must be an int"), ({"seed": "7"}, "seed must be an int")]
+)
+def test_experiment_spec_rejects_wrong_types(tmp_path, patch, error):
+    (spec,) = parse_experiment_file(_write_spec(tmp_path))
+    with pytest.raises(ScenarioValidationError) as info:
+        ExperimentSpec("x", spec.scenario, **patch)
+    assert info.value.errors == [error]
+    assert ExperimentSpec("x", spec.scenario, seed=None).seed is None
+
+
 def test_parse_experiment_missing_scenario_file(tmp_path):
     spec_path = tmp_path / "sweep.exp"
     spec_path.write_text("[experiment]\nscenario = missing.scn\n", encoding="utf-8")
@@ -360,6 +372,16 @@ def test_school_spec_checks_itself():
     with pytest.raises(ScenarioValidationError) as info:
         PlannerSettings(rounds=0)
     assert info.value.errors == ["planner.rounds must be >= 1"]
+
+
+@pytest.mark.parametrize(
+    "patch, error",
+    [({"enrollment": 10.5}, "enrollment must be an int"), ({"grid_x": 3.0}, "grid_x must be an int")],
+)
+def test_school_spec_rejects_wrong_types(patch, error):
+    with pytest.raises(ScenarioValidationError) as info:
+        replace(_tiny_school(), **patch)
+    assert info.value.errors == [error]
 
 
 def test_parse_benchmark_planner_overrides(tmp_path):

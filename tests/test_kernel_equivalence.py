@@ -1,8 +1,8 @@
 """Exact equivalence of the step kernel's fast paths with their references.
 
 The kernel scatters exposure from the infectious sources, draws random
-indices through ``rng.randbelow`` and picks the random policy's action
-without building the action list, and formats event lines directly.
+indices through ``rng.randbelow`` (the random policy's action among them,
+as an index into ``available_actions``), and formats event lines directly.
 Each must agree exactly (``==``, never ``approx``) with the reference it
 replaces, or stored outputs would change.
 """
@@ -163,6 +163,6 @@ def test_event_lines_equal_json_dumps(step, kind, person_id, detail):
     expected = json.dumps(
         {"step": step, "kind": kind, "person_id": person_id, "detail": detail}
     )
-    assert event.to_json() == expected
+    assert events_to_jsonl([event]) == expected + "\n"
     assert events_to_jsonl([event, event]) == expected + "\n" + expected + "\n"
     assert events_to_jsonl([]) == ""

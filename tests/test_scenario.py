@@ -147,6 +147,13 @@ def test_parse_errors(text, match):
         parse_scenario(text)
 
 
+@pytest.mark.parametrize("text", ["[grid]\n", "[grid]  # floor\n\n[params]\n", "[grid]\n\n[bogus]\n"])
+def test_empty_grid_fails_on_its_header(text):
+    with pytest.raises(ScenarioParseError) as info:
+        parse_scenario(text)
+    assert str(info.value) == "line 1: [grid] section has no rows"
+
+
 def test_parse_error_carries_line_number():
     try:
         parse_scenario("[grid]\nSI\n\n[params]\nbeta=2.0\n")
@@ -387,6 +394,21 @@ def test_settings_reject_wrong_types_and_non_finite_numbers(patch, error):
 def test_settings_accept_ints_for_floats():
     settings = PlannerSettings(pen_i=-1, pen_d=-5, cost_vax_action=0, uct_exploration=2)
     assert settings.uct_exploration == 2
+
+
+@pytest.mark.parametrize(
+    "patch, error",
+    [
+        ({"exposure_radius": 1.5}, "params.exposure_radius must be an int"),
+        ({"exposure_radius": "2"}, "params.exposure_radius must be an int"),
+        ({"p_mv": None}, "params.p_mv must be a finite number"),
+    ],
+)
+def test_validate_rejects_wrongly_typed_params(patch, error):
+    config = replace(parse_scenario("[grid]\nSI\n"), params=EpiParams(**patch))
+    with pytest.raises(ScenarioValidationError) as info:
+        validate(config)
+    assert info.value.errors == [error]
 
 
 def test_validate_lists_all_errors():

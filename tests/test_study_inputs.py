@@ -37,7 +37,6 @@ END_TO_END = settings(derandomize=True, deadline=None, max_examples=40)
 # errors about the file as a whole carry no line number
 WHOLE_FILE_ERRORS = {
     "missing [grid] section",
-    "[grid] section has no rows",
     "no [experiment] sections found",
     "no [school] sections found",
 }
@@ -156,6 +155,46 @@ def test_parse_benchmark_file_parses_or_fails_on_a_line(study_dir, text):
         parse_benchmark_file(path)
     except ScenarioParseError as exc:
         _check_failure(exc)
+
+
+# One section per reader, its header on line 4 with a trailing comment, and
+# in it an int key whose rule is ">= 1"
+SECTIONS = {
+    "params": ("[grid]\nSI\n\n[params]  # [x] = 1\n", "exposure_radius"),
+    "experiment": ("# a\n# b\n\n[experiment]  # [x] = 1\n", "runs"),
+    "school": ("# a\n# b\n\n[school]  # [x] = 1\n", "per_room"),
+}
+
+
+@pytest.mark.parametrize("section", sorted(SECTIONS))
+@pytest.mark.parametrize(
+    "lead, body, error",
+    [
+        ("", "oops\n", "line 5: expected key=value"),
+        ("", "bogus = 1\n", "line 5: unknown key 'bogus' in [{section}]"),
+        ("", "{key} = 2\n{key} = 3\n", "line 6: duplicate key '{key}' in [{section}]"),
+        (
+            "",
+            "{key} = zebra\n",
+            "line 5: bad value for '{key}': invalid literal for int() with base 10: 'zebra'",
+        ),
+        ("", "\n{key} = 0  # none\n", "line 6: {key} must be >= 1"),
+        ("stray\n", "{key} = 2\n", "line 1: content before first section"),
+    ],
+)
+def test_readers_share_one_grammar(tmp_path, section, lead, body, error):
+    head, key = SECTIONS[section]
+    text = lead + head + body.format(key=key)
+    path = tmp_path / "study.txt"
+    path.write_text(text, encoding="utf-8")
+    read = {
+        "params": lambda: parse_scenario(text),
+        "experiment": lambda: parse_experiment_file(path),
+        "school": lambda: parse_benchmark_file(path),
+    }[section]
+    with pytest.raises(ScenarioParseError) as info:
+        read()
+    assert str(info.value) == error.format(key=key, section=section)
 
 
 # ---------------------------------------------------------------------------
