@@ -29,8 +29,9 @@ same formula and is the reference the exact oracle and the tests use.
 
 All randomness comes from ``random.Random`` streams passed in by the
 caller; the functions themselves hold no hidden state. :func:`step_inplace`
-checks and charges actions under the planner settings it is handed;
-:func:`step`, its pure variant, uses the scenario's ``[planner]`` section.
+checks and charges actions under the planner settings it is handed and
+returns the step's :func:`reward`; :func:`step`, its pure variant, uses
+the scenario's ``[planner]`` section.
 
 Output rows (:class:`TrajectoryRow` here, the harness metrics elsewhere)
 are described by field tables of (column name, attribute, CSV format),
@@ -77,6 +78,7 @@ __all__ = [
     "death_probability_on_exit",
     "step",
     "step_inplace",
+    "reward",
     "census",
     "events_to_jsonl",
 ]
@@ -169,19 +171,27 @@ class SimState:
 
     ``persons`` is indexed by person id. ``occupancy`` maps each occupied
     tile to the id of the person on it (deceased persons included, since
-    they keep blocking their tile). ``cumulative_infections`` counts
-    persons ever infectious, which is always I + R + D.
-    ``action_costs`` accumulates the (non-positive) cost of every action
-    applied so far.
+    they keep blocking their tile). ``action_costs`` accumulates the
+    (non-positive) cost of every action applied so far. The infection
+    and death totals are counted from the compartments, in O(N), so no
+    hot path reads them.
     """
 
     step: int
     persons: list[PersonState]
     occupancy: dict[tuple[int, int], int]
     mask_mandate_active: bool = False
-    cumulative_infections: int = 0
-    cumulative_deaths: int = 0
     action_costs: float = 0.0
+
+    @property
+    def cumulative_infections(self) -> int:
+        """Persons ever infectious: I + R + D."""
+        return sum(1 for p in self.persons if p.compartment >= _I)
+
+    @property
+    def cumulative_deaths(self) -> int:
+        """Deceased persons: D."""
+        return sum(1 for p in self.persons if p.compartment is _D)
 
     def clone(self) -> "SimState":
         return SimState(
@@ -189,8 +199,6 @@ class SimState:
             [p.clone() for p in self.persons],
             dict(self.occupancy),
             self.mask_mandate_active,
-            self.cumulative_infections,
-            self.cumulative_deaths,
             self.action_costs,
         )
 
@@ -207,7 +215,6 @@ def init_state(validated: ValidatedScenario, seed: int) -> SimState:
     rng = substream(seed, "init")
     persons: list[PersonState] = []
     occupancy: dict[tuple[int, int], int] = {}
-    infections = 0
     for pl in validated.placements:
         mask_refuser = rng.random() < params.mask_noncompliance
         vax_refuser = rng.random() < params.vax_noncompliance
@@ -215,8 +222,6 @@ def init_state(validated: ValidatedScenario, seed: int) -> SimState:
         vaccinated = pl.pre_vaccinated
         if vaccinated:
             vax_refuser = False
-        if compartment is _I or compartment is _R:
-            infections += 1
         x, y = pl.position
         persons.append(
             PersonState(
@@ -231,7 +236,7 @@ def init_state(validated: ValidatedScenario, seed: int) -> SimState:
             )
         )
         occupancy[pl.position] = pl.person_id
-    return SimState(0, persons, occupancy, False, infections, 0, 0.0)
+    return SimState(0, persons, occupancy, False, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -390,16 +395,18 @@ def _transition_inplace(
     reach: int,
     rng,
     events: list[StepEvent] | None = None,
-) -> None:
+) -> tuple[int, int]:
     # One pass, each change applied where it is drawn: exposure comes from
     # the start-of-phase sources, each person is visited once and no
     # branch reads another person, so the update is synchronous. A
-    # susceptible person with no source in range draws nothing.
+    # susceptible person with no source in range draws nothing. Returns
+    # the step's new infections (E -> I) and new deaths (I -> D).
     persons = state.persons
     sigma = params.sigma
     persistence = params.infected_persistence
     random = rng.random
     step_no = state.step
+    infections = deaths = 0
     sources = []
     for p in persons:
         if p.compartment is _I:
@@ -419,7 +426,7 @@ def _transition_inplace(
         elif c is _E:
             if random() < sigma:
                 p.compartment = _I
-                state.cumulative_infections += 1
+                infections += 1
                 if events is not None:
                     events.append(StepEvent(step_no, INFECTED, p.id))
             else:
@@ -429,13 +436,14 @@ def _transition_inplace(
                 continue
             if random() < death_probability_on_exit(p, params):
                 p.compartment = _D
-                state.cumulative_deaths += 1
+                deaths += 1
                 if events is not None:
                     events.append(StepEvent(step_no, DIED, p.id))
             else:
                 p.compartment = _R
                 if events is not None:
                     events.append(StepEvent(step_no, RECOVERED, p.id))
+    return infections, deaths
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +589,13 @@ def apply_action_inplace(
 # ---------------------------------------------------------------------------
 
 
+def reward(settings: PlannerSettings, infections: int, deaths: int, costs: float) -> float:
+    """The infection penalty times new infections, plus the death penalty
+    times new deaths, plus the action costs incurred. Always <= 0 under
+    the default penalties."""
+    return settings.pen_i * infections + settings.pen_d * deaths + costs
+
+
 def step_inplace(
     state: SimState,
     action: Action,
@@ -588,7 +603,7 @@ def step_inplace(
     settings: PlannerSettings,
     rng,
     events: list[StepEvent] | None = None,
-) -> None:
+) -> float:
     """Advance ``state`` by one step in place: action, movement, health.
 
     The action is checked for legality against ``settings``, which also
@@ -596,13 +611,18 @@ def step_inplace(
     person with probability p_mv to a uniformly chosen unoccupied
     walkable neighbor, in ascending id order (earlier movers claim
     contested tiles). Exposed for hot loops; most callers want :func:`step`.
+    Returns the step's :func:`reward` under ``settings``: its new
+    infections (E -> I) and deaths (I -> D) and the cost it charged.
     """
     params = validated.params
     grid = validated.grid
+    reach = grid.width + grid.height - 2
+    costs = state.action_costs
     apply_action_inplace(state, action, settings, events)
     _movement_inplace(state, validated.adjacency, params.p_mv, rng, events)
-    _transition_inplace(state, params, grid.width + grid.height - 2, rng, events)
+    infections, deaths = _transition_inplace(state, params, reach, rng, events)
     state.step += 1
+    return reward(settings, infections, deaths, state.action_costs - costs)
 
 
 def step(
@@ -718,8 +738,8 @@ class Trajectory:
                 i,
                 r,
                 d,
-                state.cumulative_infections,
-                state.cumulative_deaths,
+                i + r + d,
+                d,
             )
         )
 

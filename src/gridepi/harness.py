@@ -238,6 +238,8 @@ def _parse_variations(text: str) -> tuple[tuple[bool, bool], ...]:
 
 
 def _path_text(text: str) -> str:
+    if not text:
+        raise ValueError("path is empty")
     if "\0" in text:
         raise ValueError("embedded null byte")
     return text

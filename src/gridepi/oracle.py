@@ -87,12 +87,17 @@ def _check_step_inputs(
         raise ValueError("dt must be positive")
     if v.n <= 0.0:
         raise ValueError("population n must be positive")
-    for value in (v.s, v.e, v.i, v.r, v.d):
+    for name, value in (("S", v.s), ("E", v.e), ("I", v.i), ("R", v.r), ("D", v.d)):
         if not math.isfinite(value):
             raise ValueError("compartment values must be finite")
+        if value < 0.0:
+            raise ValueError(f"compartment {name} must be non-negative, got {value!r}")
     for name in ("beta", "sigma", "gamma", "mu"):
-        if not math.isfinite(getattr(params, name)):
+        value = getattr(params, name)
+        if not math.isfinite(value):
             raise ValueError(f"{name} must be finite")
+        if value < 0.0:
+            raise ValueError(f"{name} must be non-negative, got {value!r}")
 
 
 def seird_euler_step(
@@ -108,7 +113,9 @@ def seird_euler_step(
 
     Raises:
         ValueError: On an unknown mode, a non-finite or non-positive dt,
-            non-positive n, or a non-finite compartment or rate.
+            non-positive n, or a non-finite or negative compartment or
+            rate. A step that overshoots below 0 is thus refused as the
+            next step's input.
     """
     _check_step_inputs(v, params, dt, mode)
     beta, sigma, gamma, mu = params.beta, params.sigma, params.gamma, params.mu

@@ -1,7 +1,9 @@
-"""Rewards, the embedded anytime planner and the episode driver.
+"""The embedded anytime planner and the episode driver.
 
 The actions themselves live in :mod:`gridepi.dynamics`, which applies
-them at the start of each step; they are re-exported here. The legal
+them at the start of each step; they are re-exported here. The reward
+formula lives there too: :func:`~gridepi.dynamics.step_inplace` returns
+each step's reward, and the search adds up what it returns. The legal
 actions of a state are listed only by :func:`available_actions`: the
 tree expands and selects over that list, and rollouts and the random
 policy draw an index into it.
@@ -39,6 +41,7 @@ from .dynamics import (
     apply_action_inplace,
     available_actions,
     init_state,
+    reward,
     step_inplace,
     vaccinate,
 )
@@ -71,16 +74,10 @@ POLICIES = ("planner", "noop", "random")
 # ---------------------------------------------------------------------------
 
 
-def _reward(settings: PlannerSettings, infections: int, deaths: int, costs: float) -> float:
-    """The infection penalty times new infections, plus the death penalty
-    times new deaths, plus the action costs incurred. Always <= 0 under
-    the default penalties."""
-    return settings.pen_i * infections + settings.pen_d * deaths + costs
-
-
 def step_reward(before: SimState, after: SimState, settings: PlannerSettings) -> float:
-    """Reward earned by the step from ``before`` to ``after``."""
-    return _reward(
+    """Reward earned by the step from ``before`` to ``after``, counted
+    from the compartments; equal to what :func:`step_inplace` returns."""
+    return reward(
         settings,
         after.cumulative_infections - before.cumulative_infections,
         after.cumulative_deaths - before.cumulative_deaths,
@@ -113,26 +110,6 @@ def _random_action(state: SimState, settings: PlannerSettings, getrandbits) -> A
     return actions[randbelow(getrandbits, len(actions))]
 
 
-def _advance(
-    sim: SimState,
-    action: Action,
-    validated: ValidatedScenario,
-    settings: PlannerSettings,
-    rng,
-) -> float:
-    """Step ``sim`` in place and return the step reward."""
-    infections = sim.cumulative_infections
-    deaths = sim.cumulative_deaths
-    costs = sim.action_costs
-    step_inplace(sim, action, validated, settings, rng)
-    return _reward(
-        settings,
-        sim.cumulative_infections - infections,
-        sim.cumulative_deaths - deaths,
-        sim.action_costs - costs,
-    )
-
-
 def _rollout(
     sim: SimState,
     validated: ValidatedScenario,
@@ -144,7 +121,7 @@ def _rollout(
     horizon = settings.horizon
     while sim.step < horizon:
         action = _random_action(sim, settings, getrandbits)
-        total += _advance(sim, action, validated, settings, rng)
+        total += step_inplace(sim, action, validated, settings, rng)
     return total
 
 
@@ -186,14 +163,14 @@ def _search(
             untried = [a for a in actions if a not in node.children]
             if untried:
                 action = untried[0]
-                total += _advance(sim, action, validated, settings, rng)
+                total += step_inplace(sim, action, validated, settings, rng)
                 child = SearchNode()
                 node.children[action] = child
                 path.append(child)
                 total += _rollout(sim, validated, settings, rng)
                 break
             action = _select(node, actions, exploration)
-            total += _advance(sim, action, validated, settings, rng)
+            total += step_inplace(sim, action, validated, settings, rng)
             node = node.children[action]
             path.append(node)
         for visited in path:
@@ -374,13 +351,8 @@ def run_episode(
                     )
             step_inplace(state, action, validated, settings, env_rng, events)
             trajectory.record(state)
-        reward = _reward(
-            settings,
-            state.cumulative_infections - trajectory.rows[0].cum_infections,
-            state.cumulative_deaths,
-            state.action_costs,
-        )
-        results.append(
-            EpisodeResult(trajectory, reward, events or [], decisions, state)
-        )
+        first, final = trajectory.rows[0], trajectory.final
+        new_infections = final.cum_infections - first.cum_infections
+        total = reward(settings, new_infections, final.cum_deaths, state.action_costs)
+        results.append(EpisodeResult(trajectory, total, events or [], decisions, state))
     return results

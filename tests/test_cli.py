@@ -300,6 +300,15 @@ def test_experiment_bad_spec_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().out
 
 
+def test_experiment_empty_scenario_path_exits_one(tmp_path, capsys):
+    path = tmp_path / "empty.exp"
+    path.write_text("[experiment]\nscenario=\nruns=1\n", encoding="utf-8")
+    assert cli_main(["experiment", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().out == (
+        "error: line 2: bad value for 'scenario': path is empty\n"
+    )
+
+
 @pytest.fixture
 def bench(tmp_path):
     path = tmp_path / "tiny.bench"

@@ -189,6 +189,14 @@ def test_parse_experiment_errors(tmp_path, text):
             3,
             "bad value for 'variations': unknown variation 'sometimes'",
         ),
+        # an empty path would resolve to the file's own directory
+        ("scenario = tiny.scn", "scenario =", 2, "bad value for 'scenario': path is empty"),
+        (
+            "scenario = tiny.scn",
+            "scenario =  # no file",
+            2,
+            "bad value for 'scenario': path is empty",
+        ),
     ],
 )
 def test_parse_experiment_errors_on_the_value_line(tmp_path, old, new, line, message):

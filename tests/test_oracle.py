@@ -127,6 +127,16 @@ def test_euler_step_validation():
         (V0, 0.0, "dt must be positive"),
         (CompartmentVector(0.0, 0.0, 0.0, 0.0, 0.0, 0.0), 0.1, "population n must be positive"),
         (CompartmentVector(float("nan"), 0.0, 1.0, 0.0, 0.0, 1.0), 0.1, "must be finite"),
+        (
+            CompartmentVector.from_counts(-5.0, 0.0, 10.0, 0.0, 0.0),
+            0.1,
+            r"compartment S must be non-negative, got -5\.0",
+        ),
+        (
+            CompartmentVector.from_counts(1.0, 0.0, 1.0, 0.0, -0.5),
+            0.1,
+            r"compartment D must be non-negative, got -0\.5",
+        ),
     ],
 )
 def test_integrate_checks_inputs_without_steps(v0, dt, message):
@@ -149,6 +159,8 @@ INF = float("inf")
         (0.1, EpiParams(sigma=INF), "sigma must be finite"),
         (0.1, EpiParams(gamma=-INF), "gamma must be finite"),
         (0.1, EpiParams(mu=INF), "mu must be finite"),
+        (0.1, EpiParams(beta=-3.0), r"beta must be non-negative, got -3\.0"),
+        (0.1, EpiParams(gamma=-0.25), r"gamma must be non-negative, got -0\.25"),
     ],
 )
 def test_non_finite_dt_and_rates_are_named(dt, params, message):
@@ -159,6 +171,15 @@ def test_non_finite_dt_and_rates_are_named(dt, params, message):
     for steps in (0, 1, 5):
         with pytest.raises(ValueError, match=message):
             seird_integrate(V0, params, dt=dt, steps=steps)
+
+
+def test_integrate_refuses_a_step_that_overshoots_below_zero():
+    # I leaves at rate gamma + mu, so a step of dt = 20 takes it below 0
+    # and the next step refuses that input
+    (_, first) = seird_integrate(V0, EpiParams(), dt=20.0, steps=1)
+    assert first.i < 0.0
+    with pytest.raises(ValueError, match="compartment I must be non-negative"):
+        seird_integrate(V0, EpiParams(), dt=20.0, steps=2)
 
 
 def test_from_counts_sets_population():

@@ -259,12 +259,16 @@ def test_npi_flags_survive_steps():
 
 
 def test_step_reward_counts_new_harm():
+    # three susceptible persons become infectious, recovered and deceased:
+    # three new infections, one of them a new death
     settings = PlannerSettings()
-    v = _validated("[grid]\nSI\n\n[params]\np_mv=0.0\nbeta=0.0\n")
+    v = _validated("[grid]\nSSSI\n\n[params]\np_mv=0.0\nbeta=0.0\n")
     before = init_state(v, 0)
     after = before.clone()
-    after.cumulative_infections += 3
-    after.cumulative_deaths += 1
+    for person, compartment in zip(after.persons, (Compartment.I, Compartment.R, Compartment.D)):
+        assert person.compartment is Compartment.S
+        person.compartment = compartment
+    assert (after.cumulative_infections, after.cumulative_deaths) == (4, 1)
     assert step_reward(before, after, settings) == pytest.approx(-8.0)
 
 
@@ -359,8 +363,9 @@ def test_step_inplace_charges_the_handed_costs():
         for _ in range(settings.horizon):
             action = choose(available_actions(state, settings))
             before = state.clone()
-            step_inplace(state, action, v, settings, env)
-            summed += step_reward(before, state, settings)
+            returned = step_inplace(state, action, v, settings, env)
+            assert returned == step_reward(before, state, settings)
+            summed += returned
             charged += cost[action.kind]
         assert state.action_costs == charged
         assert summed == _closed_form(settings, start, state)
