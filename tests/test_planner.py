@@ -329,6 +329,20 @@ def test_run_episode_charges_the_handed_costs(policy):
         assert result.reward == _closed_form(settings, start, result.final_state)
 
 
+@pytest.mark.parametrize("policy", ["random", "planner"])
+def test_round_r_is_a_one_round_episode_at_seed_plus_r(policy):
+    # the harness runs each round as its own task on this identity
+    v = _small_space()
+    settings = replace(v.planner, rounds=5, horizon=6, uct_iterations=16, **HANDED_COSTS)
+    results = run_episode(v, settings, policy, 40, True, True)
+    assert any(result.events for result in results)
+    one_round = replace(settings, rounds=1)
+    for r, result in enumerate(results):
+        (alone,) = run_episode(v, one_round, policy, 40 + r, True, True)
+        assert alone == result
+        assert repr(alone) == repr(result)
+
+
 def test_step_inplace_charges_the_handed_costs():
     # small_space with its last legal action, a costly one whenever one is
     # legal; then the random rooms and random legal actions of acceptance
