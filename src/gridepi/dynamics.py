@@ -33,6 +33,14 @@ checks and charges actions under the planner settings it is handed and
 returns the step's :func:`reward`; :func:`step`, its pure variant, uses
 the scenario's ``[planner]`` section.
 
+Handed an ``events`` list, a step appends one :class:`StepEvent` per
+change it makes, in the order it makes them: ``masked``,
+``vaccinated`` or ``compliance_refusal`` for the action, ``moved`` for
+each move, then ``exposed``, ``infected``, ``recovered`` or ``died`` for
+each health change. An exposed person reverting to S writes no event.
+:func:`events_to_jsonl` renders the log; it lists each kind's detail.
+Planner steps pass ``None`` and build no event.
+
 Output rows (:class:`TrajectoryRow` here, the harness metrics elsewhere)
 are described by field tables of (column name, attribute, CSV format),
 which :func:`rows_to_csv` and :func:`rows_to_json` render.
@@ -111,9 +119,14 @@ VACCINATED = "vaccinated"
 COMPLIANCE_REFUSAL = "compliance_refusal"
 
 
-@dataclass(frozen=True)
-class StepEvent:
-    """One audit-log entry. ``step`` is the index of the step being computed."""
+class StepEvent(NamedTuple):
+    """One audit-log entry. ``step`` is the index of the step being computed.
+
+    A named tuple rather than a dataclass, so that the movement phase
+    can record tens of thousands of moves at the cost of building tuples
+    (see ``_new_event``). It compares equal to the plain tuple of its
+    fields.
+    """
 
     step: int
     kind: str
@@ -121,18 +134,41 @@ class StepEvent:
     detail: str = ""
 
 
+# StepEvent(...) runs the named tuple's generated __new__, a Python
+# function; tuple.__new__(StepEvent, fields) builds the same object at the
+# cost of a bare tuple. Only the movement phase, which writes nearly every
+# event of a log, uses it.
+_new_event = tuple.__new__
+
+
+class _TileText(dict):
+    """Tile -> its ``(x,y)`` text, built on first use. Shared by every
+    room, since the text depends on the coordinates alone: it holds one
+    entry per tile moved from or to."""
+
+    def __missing__(self, tile: tuple[int, int]) -> str:
+        text = self[tile] = f"({tile[0]},{tile[1]})"
+        return text
+
+
+_tile_text = _TileText()
+
+
 def events_to_jsonl(events: list[StepEvent]) -> str:
     """Render events as JSON lines, one object per line.
 
     Each line is byte for byte what ``json.dumps`` writes for the dict
     {step, kind, person_id, detail} at its default settings (ASCII
-    escapes, ", " and ": " separators), formatted directly.
+    escapes, ", " and ": " separators), formatted directly. ``detail`` is
+    ``(x,y)->(x,y)`` for ``moved``, ``prob=<repr>`` for ``exposed``,
+    ``mask_mandate`` or ``vaccination`` for ``compliance_refusal``, and
+    empty for every other kind.
     """
     return "".join(
         [
-            f'{{"step": {e.step}, "kind": {_json_str(e.kind)}, '
-            f'"person_id": {e.person_id}, "detail": {_json_str(e.detail)}}}\n'
-            for e in events
+            f'{{"step": {step}, "kind": {_json_str(kind)}, '
+            f'"person_id": {person_id}, "detail": {_json_str(detail)}}}\n'
+            for step, kind, person_id, detail in events
         ]
     )
 
@@ -378,14 +414,8 @@ def _movement_inplace(
         del occupancy[pos]
         occupancy[target] = p.id
         if events is not None:
-            events.append(
-                StepEvent(
-                    step_no,
-                    MOVED,
-                    p.id,
-                    f"({p.x},{p.y})->({target[0]},{target[1]})",
-                )
-            )
+            detail = _tile_text[pos] + "->" + _tile_text[target]
+            events.append(_new_event(StepEvent, (step_no, MOVED, p.id, detail)))
         p.x, p.y = target
 
 

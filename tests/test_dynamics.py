@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -18,6 +19,7 @@ import gridepi
 from gridepi import assets
 from gridepi.dynamics import (
     Compartment,
+    StepEvent,
     TRAJECTORY_HEADER,
     Trajectory,
     census,
@@ -27,10 +29,12 @@ from gridepi.dynamics import (
     init_state,
     step,
 )
-from gridepi.planner import NOOP
+from gridepi.planner import NOOP, run_episode
 from gridepi.rng import substream
 from gridepi.scenario import EpiParams, load_scenario, parse_scenario, validate
 from helpers import random_scenario
+
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
 # every edge the health machine may take in one step, plus staying put
 ALLOWED_TRANSITIONS = {
@@ -430,6 +434,57 @@ def test_event_log_is_json_lines():
         payload = json.loads(line)
         assert set(payload) == {"step", "kind", "person_id", "detail"}
         assert payload["step"] == 0
+
+
+# crowd_r1 at seed 3 under the random policy writes every event kind
+EVENT_KINDS = {
+    "moved", "exposed", "infected", "recovered", "died",
+    "masked", "vaccinated", "compliance_refusal",
+}
+MOVE_DETAIL = re.compile(r"\((\d+),(\d+)\)->\((\d+),(\d+)\)")
+
+
+def _random_episodes(path, seed):
+    v = validate(load_scenario(path))
+    return v, run_episode(v, v.planner, "random", seed, collect_events=True)
+
+
+def test_kernel_events_are_step_events():
+    _, episodes = _random_episodes(GOLDEN_INPUTS / "crowd_r1.scn", 3)
+    events = episodes[0].events
+    assert {e.kind for e in events} == EVENT_KINDS
+    refused = {e.detail for e in events if e.kind == "compliance_refusal"}
+    assert refused == {"mask_mandate", "vaccination"}
+    for e in events:
+        assert isinstance(e, StepEvent)
+        assert StepEvent(*e) == e
+        assert repr(StepEvent(*e)) == repr(e)
+    for name in StepEvent._fields:
+        with pytest.raises(AttributeError):
+            setattr(events[0], name, 0)
+
+
+@pytest.mark.parametrize(
+    "path", [GOLDEN_INPUTS / "crowd_r1.scn", assets.asset_path("small_crowded.scn")]
+)
+def test_moved_events_rebuild_positions(path):
+    v, episodes = _random_episodes(path, 3)
+    for r, episode in enumerate(episodes):
+        state = init_state(v, 3 + r)
+        positions = [(p.x, p.y) for p in state.persons]
+        occupancy = dict(state.occupancy)
+        moves = [e for e in episode.events if e.kind == "moved"]
+        assert moves
+        for e in moves:
+            x0, y0, x1, y1 = map(int, MOVE_DETAIL.fullmatch(e.detail).groups())
+            assert positions[e.person_id] == (x0, y0)
+            assert occupancy.pop((x0, y0)) == e.person_id
+            assert (x1, y1) not in occupancy
+            positions[e.person_id] = (x1, y1)
+            occupancy[(x1, y1)] = e.person_id
+        final = episode.final_state
+        assert positions == [(p.x, p.y) for p in final.persons]
+        assert occupancy == final.occupancy
 
 
 # ---------------------------------------------------------------------------
