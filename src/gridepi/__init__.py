@@ -1,15 +1,17 @@
 """Grid-based indoor SEIRD epidemic simulator with an embedded planner.
 
-The package is organized around five modules:
+The package is organized around six modules:
 
 * :mod:`gridepi.scenario` defines the scenario file format, validation,
   and grid queries.
 * :mod:`gridepi.dynamics` is the simulation core: the population state,
   the interventions, the in-place step kernel with its one pure wrapper
-  :func:`~gridepi.dynamics.step`, and the CSV/JSON rendering of output
-  rows from their field tables.
-* :mod:`gridepi.planner` defines the reward, the UCT search, and episode
-  execution.
+  :func:`~gridepi.dynamics.step`, the reward formula, and the CSV/JSON
+  rendering of output rows from their field tables.
+* :mod:`gridepi.planner` defines the UCT search and episode execution:
+  one round function that every multi-round run maps its rounds through.
+* :mod:`gridepi.fanout` runs independent tasks on every usable CPU, in
+  forked workers, with results identical to the serial loop's.
 * :mod:`gridepi.oracle` provides the reference computations used to
   check the simulator: a mean-field ODE and exact enumeration of tiny
   static scenarios.
@@ -31,7 +33,6 @@ from .scenario import (
     ValidatedScenario,
     density,
     load_scenario,
-    neighbors,
     parse_scenario,
     serialize_scenario,
     validate,
@@ -52,7 +53,6 @@ __all__ = [
     "ValidatedScenario",
     "density",
     "load_scenario",
-    "neighbors",
     "parse_scenario",
     "serialize_scenario",
     "validate",

@@ -43,37 +43,29 @@ Room-level infections are summed and divided by N_est to get the
 school-level prediction, which is compared against the reported true
 positivity.
 
-Every round of every run of every variation is one planner episode that
+Every round of every run of every variation is one planner round that
 depends on no other, so :func:`run_experiment` and
-:func:`simulate_school` run them on every CPU this process may run on
-(``os.sched_getaffinity``), one forked worker per CPU, and merge the
-results in a fixed order: the output is byte-identical for any CPU
-count, and ``taskset -c 0`` runs them serially. A batch stays
-in-process on one CPU, with other threads running, without ``os.fork``,
-or below :data:`FORK_MIN_BUDGET` of search.
+:func:`simulate_school` map them all through the planner's round
+function, which :mod:`gridepi.fanout` runs on every CPU this process may
+run on when the batch's search pays for a fork. The results are merged
+in a fixed order: the output is byte-identical for any CPU count, and
+``taskset -c 0`` runs them serially.
 """
 
 from __future__ import annotations
 
-import marshal
-import os
-import select
-import signal
-import threading
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import NoReturn
 
 from .dynamics import (
     FieldTable,
     Trajectory,
-    TrajectoryRow,
     csv_header,
     rows_to_csv,
     rows_to_json,
 )
-from .planner import run_episode
+from .planner import _play_rounds
 from .rng import stable_seed
 from .scenario import (
     EpiParams,
@@ -372,13 +364,8 @@ def _variation_suffix(masks: bool, vaccines: bool) -> str:
     return "+" + "+".join(parts) if parts else ""
 
 
-# (scenario, one-round settings, round seed): one planner episode
-Task = tuple[ValidatedScenario, PlannerSettings, int]
-
-# A batch whose search budget, the summed horizon * uct_iterations of its
-# tasks with an intervention enabled, is below this runs in-process: a
-# fork costs about 3 ms, more than the search of the tiny bundled inputs.
-FORK_MIN_BUDGET = 10_000
+# one planner round: (scenario, one-round settings, "planner", round seed)
+Task = tuple[ValidatedScenario, PlannerSettings, str, int]
 
 
 def _variation_runs(
@@ -407,154 +394,15 @@ def _variation_runs(
         )
         for i in range(count):
             run_seed = stable_seed(seed, label, v_index, i)
-            tasks.extend((validated, settings, run_seed + r) for r in range(validated.planner.rounds))
+            tasks.extend(
+                (validated, settings, "planner", run_seed + r)
+                for r in range(validated.planner.rounds)
+            )
     return tasks
 
 
 def _chunks(items: list, size: int) -> list[list]:
     return [items[k : k + size] for k in range(0, len(items), size)]
-
-
-def _run_task(validated: ValidatedScenario, settings: PlannerSettings, seed: int) -> Trajectory:
-    return run_episode(validated, settings, "planner", seed)[0].trajectory
-
-
-def _worker_count(tasks: list[Task]) -> int:
-    """Workers to fork for ``tasks``: one per CPU this process may run on,
-    at most one per task; 0 (run in-process) without ``os.fork`` or CPU
-    affinity, with another thread running, with fewer than two workers,
-    or below :data:`FORK_MIN_BUDGET`."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 0
-    if threading.active_count() > 1:
-        return 0
-    budget = sum(
-        s.horizon * s.uct_iterations
-        for _, s, _ in tasks
-        if s.masks_available or s.vaccines_available
-    )
-    if budget < FORK_MIN_BUDGET:
-        return 0
-    workers = min(len(os.sched_getaffinity(0)), len(tasks))
-    return workers if workers >= 2 else 0
-
-
-def _trajectories(tasks: list[Task]) -> list[Trajectory]:
-    """The trajectory of every task, in task order.
-
-    The tasks run in forked workers when :func:`_worker_count` allows.
-    Any task without a worker result (its worker failed, or a pipe or a
-    process could not be made) then runs in-process, so a failing task
-    raises here exactly as on the serial path."""
-    found: dict[int, Trajectory] = {}
-    workers = _worker_count(tasks)
-    if workers:
-        try:
-            found = _fork_tasks(tasks, workers)
-        except OSError:
-            pass  # every task runs in-process
-    return [found[k] if k in found else _run_task(*task) for k, task in enumerate(tasks)]
-
-
-def _fork_tasks(tasks: list[Task], workers: int) -> dict[int, Trajectory]:
-    """Run ``tasks`` in ``workers`` forked children; return the
-    trajectories they sent, by task index.
-
-    The children take 4-byte task indices from one shared pipe, so a
-    child that finishes early takes the next task; every write to that
-    pipe is whole indices and atomic, so each 4-byte read is one index.
-    Each child sends length-prefixed ``marshal`` frames of (index,
-    trajectory rows as int tuples) over its own pipe, and the parent
-    reads every pipe to EOF and rebuilds the rows, so no program class
-    crosses a process boundary. Every child is reaped before this
-    returns or raises."""
-    owned: set[int] = set()  # descriptors this process has open
-    children: list[int] = []
-    results: dict[int, bytearray] = {}  # result pipe -> bytes read so far
-    done = False
-    try:
-        task_r, task_w = os.pipe()
-        owned |= {task_r, task_w}
-        for _ in range(workers):
-            out_r, out_w = os.pipe()
-            owned |= {out_r, out_w}
-            pid = os.fork()
-            if pid == 0:
-                _worker(tasks, task_r, out_w, owned - {task_r, out_w})
-            children.append(pid)
-            results[out_r] = bytearray()
-            os.close(out_w)
-            owned.discard(out_w)
-        os.close(task_r)
-        owned.discard(task_r)
-        pending = b"".join(k.to_bytes(4, "little") for k in range(len(tasks)))
-        os.set_blocking(task_w, False)
-        poller = select.poll()
-        poller.register(task_w, select.POLLOUT)
-        for fd in results:
-            poller.register(fd, select.POLLIN)
-        reading = len(results)
-        while reading:
-            for fd, _ in poller.poll():
-                if fd != task_w:
-                    chunk = os.read(fd, 1 << 16)
-                    results[fd] += chunk
-                    if not chunk:
-                        poller.unregister(fd)
-                        reading -= 1
-                    continue
-                try:
-                    # at most PIPE_BUF bytes, so a write is all or nothing
-                    pending = pending[os.write(task_w, pending[: select.PIPE_BUF]) :]
-                except BlockingIOError:
-                    continue
-                except BrokenPipeError:  # every child has exited
-                    pending = b""
-                if not pending:
-                    poller.unregister(task_w)
-                    os.close(task_w)  # the children read EOF once it drains
-                    owned.discard(task_w)
-        done = True
-    finally:
-        for fd in owned:
-            os.close(fd)
-        for pid in children:
-            if not done:
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    found: dict[int, Trajectory] = {}
-    for data in results.values():
-        pos = 0
-        while pos + 4 <= len(data):
-            end = pos + 4 + int.from_bytes(data[pos : pos + 4], "little")
-            if end > len(data):
-                break  # a child died while writing; its task reruns in-process
-            k, rows = marshal.loads(data[pos + 4 : end])
-            found[k] = Trajectory([TrajectoryRow(*row) for row in rows])
-            pos = end
-    return found
-
-
-def _worker(tasks: list[Task], task_r: int, out_w: int, inherited: set[int]) -> NoReturn:
-    """A forked child's whole life: run the tasks whose indices it reads
-    from ``task_r`` and send each result over ``out_w`` until the task
-    pipe is empty and closed. It never returns: the first task that
-    raises ends it, without a traceback, and the parent runs that task
-    again."""
-    code = 1
-    try:
-        for fd in inherited:  # with task_w open here, the task pipe never ends
-            os.close(fd)
-        while record := os.read(task_r, 4):
-            k = int.from_bytes(record, "little")
-            rows = [astuple(row) for row in _run_task(*tasks[k]).rows]
-            frame = marshal.dumps((k, rows))
-            frame = len(frame).to_bytes(4, "little") + frame
-            while frame:
-                frame = frame[os.write(out_w, frame) :]
-        code = 0
-    finally:
-        os._exit(code)
 
 
 def run_experiment(spec: ExperimentSpec, default_seed: int) -> list[RunMetrics]:
@@ -565,7 +413,8 @@ def run_experiment(spec: ExperimentSpec, default_seed: int) -> list[RunMetrics]:
     n = validated.population
     rows: list[RunMetrics] = []
     tasks = _variation_runs(validated, spec.variations, seed, spec.label, spec.runs)
-    cells = _chunks(_trajectories(tasks), spec.runs * validated.planner.rounds)
+    episodes = _play_rounds(tasks)
+    cells = _chunks([e.trajectory for e in episodes], spec.runs * validated.planner.rounds)
     for (masks, vaccines), trajectories in zip(spec.variations, cells):
         positivity = [100.0 * t.final.cum_infections / n for t in trajectories]
         deaths = [t.final.d for t in trajectories]
@@ -643,7 +492,8 @@ def simulate_school(spec: SchoolBenchmarkSpec, default_seed: int) -> list[Benchm
     validated = validate(classroom)
     rows: list[BenchmarkMetrics] = []
     tasks = _variation_runs(validated, spec.variations, default_seed, spec.name, rooms)
-    room_runs = _chunks(_trajectories(tasks), spec.planner.rounds)
+    episodes = _play_rounds(tasks)
+    room_runs = _chunks([e.trajectory for e in episodes], spec.planner.rounds)
     for v_index, (masks, vaccines) in enumerate(spec.variations):
         total_infections = 0.0
         for room in room_runs[v_index * rooms : (v_index + 1) * rooms]:

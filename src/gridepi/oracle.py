@@ -13,11 +13,11 @@ Two independent routes:
 * Exact outcome enumeration for tiny static scenarios: with movement
   disabled, per-person transitions are independent given the current
   joint compartment assignment, so the full distribution over final
-  censuses can be computed by dynamic programming. The per-person
-  probabilities are taken from the same code paths the sampler uses
-  (:func:`gridepi.dynamics.exposure_probability` and
-  :func:`gridepi.dynamics.death_probability_on_exit`), which is what
-  makes the comparison meaningful.
+  censuses can be computed by dynamic programming. :func:`_person_outcomes`
+  reads exposure from the gather formula :func:`~gridepi.dynamics.exposure_probability`
+  and death from :func:`~gridepi.dynamics.death_probability_on_exit`. The
+  sampler scatters exposure through ``exposure_misses`` instead, and
+  ``tests/test_kernel_equivalence.py`` pins the two routes bit-equal.
 """
 
 from __future__ import annotations

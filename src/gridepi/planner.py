@@ -26,8 +26,9 @@ govern the run, action costs included, in place of the scenario's own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
+from . import fanout
 from .dynamics import (
     MANDATE_MASKS,
     NOOP,
@@ -35,9 +36,11 @@ from .dynamics import (
     ActionKind,
     Compartment,
     IllegalActionError,
+    PersonState,
     SimState,
     StepEvent,
     Trajectory,
+    TrajectoryRow,
     apply_action_inplace,
     available_actions,
     init_state,
@@ -313,7 +316,9 @@ def run_episode(
     from its seed: compliance flags (inside :func:`init_state`), the
     environment, and the planner. The planner and random policies draw
     only from the planning stream, so different policies see identical
-    environment randomness until their actions first diverge.
+    environment randomness until their actions first diverge. No round
+    reads another's, so the rounds run on every usable CPU when their
+    search pays for a fork; the results are the same for any CPU count.
 
     Args:
         validated: Scenario to simulate; its ``[planner]`` section is unread.
@@ -328,31 +333,74 @@ def run_episode(
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
-    results: list[EpisodeResult] = []
-    for r in range(settings.rounds):
-        round_seed = seed + r
-        env_rng = substream(round_seed, "env")
-        plan_rng = substream(round_seed, "plan")
-        state = init_state(validated, round_seed)
-        trajectory = Trajectory()
+    logs = (collect_events, collect_decisions)
+    rounds = [(validated, settings, policy, seed + r, *logs) for r in range(settings.rounds)]
+    return _play_rounds(rounds)
+
+
+def _play_round(
+    validated: ValidatedScenario, settings: PlannerSettings, policy: str, seed: int,
+    collect_events: bool = False, collect_decisions: bool = False,
+) -> EpisodeResult:
+    """One round of :func:`run_episode`, seeded with ``seed``; it reads
+    no other round's streams. The harness plays its rounds with it too."""
+    env_rng = substream(seed, "env")
+    plan_rng = substream(seed, "plan")
+    state = init_state(validated, seed)
+    trajectory = Trajectory()
+    trajectory.record(state)
+    events: list[StepEvent] | None = [] if collect_events else None
+    decisions: list[dict] = []
+    for t in range(settings.horizon):
+        if policy == "noop":
+            action = NOOP
+        elif policy == "random":
+            action = _random_action(state, settings, plan_rng.getrandbits)
+        else:
+            action, stats = plan_with_stats(state, validated, settings, plan_rng)
+            if collect_decisions:
+                decisions.append({"step": t, "chosen_action": action.describe(), **stats})
+        step_inplace(state, action, validated, settings, env_rng, events)
         trajectory.record(state)
-        events: list[StepEvent] | None = [] if collect_events else None
-        decisions: list[dict] = []
-        for t in range(settings.horizon):
-            if policy == "noop":
-                action = NOOP
-            elif policy == "random":
-                action = _random_action(state, settings, plan_rng.getrandbits)
-            else:
-                action, stats = plan_with_stats(state, validated, settings, plan_rng)
-                if collect_decisions:
-                    decisions.append(
-                        {"step": t, "chosen_action": action.describe(), **stats}
-                    )
-            step_inplace(state, action, validated, settings, env_rng, events)
-            trajectory.record(state)
-        first, final = trajectory.rows[0], trajectory.final
-        new_infections = final.cum_infections - first.cum_infections
-        total = reward(settings, new_infections, final.cum_deaths, state.action_costs)
-        results.append(EpisodeResult(trajectory, total, events or [], decisions, state))
-    return results
+    first, final = trajectory.rows[0], trajectory.final
+    new_infections = final.cum_infections - first.cum_infections
+    total = reward(settings, new_infections, final.cum_deaths, state.action_costs)
+    return EpisodeResult(trajectory, total, events or [], decisions, state)
+
+
+def _search_budget(tasks: list[tuple]) -> int:
+    """Search steps of :func:`_play_round` ``tasks``: planner rounds with an intervention."""
+    return sum(
+        settings.horizon * settings.uct_iterations
+        for _, settings, policy, *_ in tasks
+        if policy == "planner" and (settings.masks_available or settings.vaccines_available)
+    )
+
+
+def _play_rounds(tasks: list[tuple]) -> list[EpisodeResult]:
+    """``[_play_round(*task) for task in tasks]`` through :func:`fanout.fan_out`."""
+    return fanout.fan_out(_play_round, tasks, _search_budget(tasks), _pack_round, _unpack_round)
+
+
+def _pack_round(result: EpisodeResult) -> tuple:
+    """``result`` as the plain data a fan-out pipe takes: no enum and no
+    named tuple. :func:`_unpack_round` rebuilds an equal result with the
+    same ``repr``. The occupancy dict crosses whole: rebuilt from the
+    positions, its order would differ."""
+    step, persons, *state = astuple(result.final_state)
+    persons = [(pid, int(c), *fields) for pid, c, *fields in persons]
+    rows = [astuple(row) for row in result.trajectory.rows]
+    events = [tuple(event) for event in result.events]
+    return rows, result.reward, events, result.decisions, (step, persons, *state)
+
+
+def _unpack_round(data: tuple) -> EpisodeResult:
+    rows, total, events, decisions, (step, persons, *state) = data
+    persons = [PersonState(pid, Compartment(c), *fields) for pid, c, *fields in persons]
+    return EpisodeResult(
+        Trajectory([TrajectoryRow(*row) for row in rows]),
+        total,
+        [StepEvent(*event) for event in events],
+        decisions,
+        SimState(step, persons, *state),
+    )

@@ -51,7 +51,6 @@ __all__ = [
     "serialize_scenario",
     "load_scenario",
     "validate",
-    "neighbors",
     "density",
 ]
 
@@ -564,18 +563,6 @@ def _walkable_neighbors(grid: GridMap, x: int, y: int) -> tuple[tuple[int, int],
         for dx, dy in _DIRECTIONS
         if grid.in_bounds(x + dx, y + dy) and grid.is_walkable(x + dx, y + dy)
     )
-
-
-def neighbors(grid: GridMap, pos: tuple[int, int]) -> set[tuple[int, int]]:
-    """Walkable 4-neighborhood of an in-bounds tile.
-
-    Raises:
-        ValueError: If ``pos`` is outside the grid.
-    """
-    x, y = pos
-    if not grid.in_bounds(x, y):
-        raise ValueError(f"position {pos} out of bounds")
-    return set(_walkable_neighbors(grid, x, y))
 
 
 def validate(config: ScenarioConfig) -> ValidatedScenario:

@@ -23,7 +23,6 @@ from gridepi.scenario import (
     ScenarioValidationError,
     density,
     load_scenario,
-    neighbors,
     parse_scenario,
     serialize_scenario,
     validate,
@@ -271,18 +270,13 @@ def test_round_trip_random_grids(text):
 
 
 def test_neighbors_interior_corner_enclosed():
-    grid = parse_scenario("[grid]\n....\n.#..\n....\n").grid
-    assert neighbors(grid, (1, 0)) == {(0, 0), (2, 0)}
-    assert neighbors(grid, (0, 0)) == {(1, 0), (0, 1)}
-    assert neighbors(grid, (2, 2)) == {(1, 2), (3, 2), (2, 1)}
-    enclosed = parse_scenario("[grid]\n###\n#S#\n###\n").grid
-    assert neighbors(enclosed, (1, 1)) == set()
-
-
-def test_neighbors_out_of_bounds():
-    grid = parse_scenario("[grid]\nSI\n").grid
-    with pytest.raises(ValueError):
-        neighbors(grid, (5, 0))
+    adjacency = validate(parse_scenario("[grid]\n....\n.#..\n....\n")).adjacency
+    assert set(adjacency[(1, 0)]) == {(0, 0), (2, 0)}
+    assert set(adjacency[(0, 0)]) == {(1, 0), (0, 1)}
+    assert set(adjacency[(2, 2)]) == {(1, 2), (3, 2), (2, 1)}
+    assert (1, 1) not in adjacency
+    enclosed = validate(parse_scenario("[grid]\n###\n#S#\n###\n")).adjacency
+    assert enclosed == {(1, 1): ()}
 
 
 def test_neighbors_symmetry():
@@ -292,11 +286,11 @@ def test_neighbors_symmetry():
             "".join(rng.choice("#...") for _ in range(5)) for _ in range(5)
         ]
         grid = parse_scenario("[grid]\n" + "\n".join(rows) + "\n").grid
-        for y in range(grid.height):
-            for x in range(grid.width):
-                for pos in neighbors(grid, (x, y)):
-                    if grid.is_walkable(x, y):
-                        assert (x, y) in neighbors(grid, pos)
+        adjacency = validate(ScenarioConfig(grid=grid, placements=())).adjacency
+        assert set(adjacency) == set(grid.walkable_positions())
+        for pos, near in adjacency.items():
+            for other in near:
+                assert pos in adjacency[other]
 
 
 def test_density_examples():
