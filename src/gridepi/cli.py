@@ -197,18 +197,14 @@ def _cmd_experiment(args) -> int:
     specs = harness.parse_experiment_file(args.specfile)
     if args.runs is not None:
         specs = [replace(spec, runs=args.runs) for spec in specs]
-    rows: list[harness.RunMetrics] = []
-    for spec in specs:
-        rows.extend(harness.run_experiment(spec, args.seed))
+    rows = harness.run_experiments(specs, args.seed)
     sys.stdout.write(harness.emit_results(rows, args.format, args.out))
     return EXIT_OK
 
 
 def _cmd_benchmark(args) -> int:
     specs = harness.parse_benchmark_file(args.specfile)
-    rows: list[harness.BenchmarkMetrics] = []
-    for spec in specs:
-        rows.extend(harness.simulate_school(spec, args.seed))
+    rows = harness.simulate_schools(specs, args.seed)
     sys.stdout.write(harness.emit_results(rows, args.format, args.out))
     return EXIT_OK
 

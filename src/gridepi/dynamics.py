@@ -56,7 +56,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 from operator import attrgetter
 from typing import Any, Callable, Iterable, NamedTuple
 
-from .rng import randbelow, substream
+from .rng import substream
 from .scenario import EpiParams, PlannerSettings, ValidatedScenario
 
 __all__ = [
@@ -405,12 +405,18 @@ def _movement_inplace(
         for t in adjacency[pos]:
             if t not in occupancy:
                 candidates.append(t)
-        if not candidates:
+        n = len(candidates)
+        if not n:
             continue
-        if len(candidates) == 1:
+        if n == 1:
             target = candidates[0]
         else:
-            target = candidates[randbelow(getrandbits, len(candidates))]
+            # rng.randrange(n), inline: the rejection loop of randbelow
+            k = n.bit_length()
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            target = candidates[r]
         del occupancy[pos]
         occupancy[target] = p.id
         if events is not None:
@@ -429,19 +435,26 @@ def _transition_inplace(
     # One pass, each change applied where it is drawn: exposure comes from
     # the start-of-phase sources, each person is visited once and no
     # branch reads another person, so the update is synchronous. A
-    # susceptible person with no source in range draws nothing. Returns
+    # susceptible person with no source in range draws nothing, and nor
+    # does an R or a D, so with no E and no I nothing changes. Returns
     # the step's new infections (E -> I) and new deaths (I -> D).
     persons = state.persons
+    sources = []
+    exposed = False
+    for p in persons:
+        c = p.compartment
+        if c is _I:
+            sources.append(p)
+        elif c is _E:
+            exposed = True
+    if not (sources or exposed):
+        return 0, 0
+    misses = exposure_misses(sources, state, params, reach) if sources else {}
     sigma = params.sigma
     persistence = params.infected_persistence
     random = rng.random
     step_no = state.step
     infections = deaths = 0
-    sources = []
-    for p in persons:
-        if p.compartment is _I:
-            sources.append(p)
-    misses = exposure_misses(sources, state, params, reach) if sources else {}
     for p in persons:
         c = p.compartment
         if c is _S:
@@ -644,8 +657,9 @@ def step_inplace(
     Returns the step's :func:`reward` under ``settings``: its new
     infections (E -> I) and deaths (I -> D) and the cost it charged.
     """
-    params = validated.params
-    grid = validated.grid
+    config = validated.config
+    params = config.params
+    grid = config.grid
     reach = grid.width + grid.height - 2
     costs = state.action_costs
     apply_action_inplace(state, action, settings, events)

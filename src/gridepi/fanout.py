@@ -4,8 +4,12 @@
 tasks]`` returns. When the batch's search pays for it, the tasks run in
 forked workers and each result crosses a pipe as the plain ``marshal``
 data its caller's ``pack`` makes; the in-process path packs nothing.
-Any task without a worker result runs in-process, so a failing task
-raises exactly as on the serial path. This module knows no task type.
+The workers take the tasks longest first, by an expected cost the
+caller computes from each task, so that no worker is left with one long
+task while the others idle (Graham's LPT rule); the results come back
+in task order whatever order they ran in. Any task without a worker
+result runs in-process, in task order, so a failing task raises exactly
+as on the serial path. This module knows no task type.
 """
 
 from __future__ import annotations
@@ -25,21 +29,33 @@ FORK_MIN_BUDGET = 10_000
 
 
 def fan_out(
-    run: Callable, tasks: list[tuple], budget: int, pack: Callable, unpack: Callable
+    run: Callable,
+    tasks: list[tuple],
+    budget: int,
+    cost: Callable,
+    pack: Callable,
+    unpack: Callable,
 ) -> list:
     """``[run(*task) for task in tasks]``, in forked workers when
     :func:`_worker_count` allows for a batch of ``budget`` search.
 
-    A worker sends ``pack(run(*task))``, which must be ``marshal``-able,
-    and this process returns ``unpack`` of it."""
+    The workers take the tasks in :func:`_dispatch_order` of
+    ``cost(*task)``. A worker sends ``pack(run(*task))``, which must be
+    ``marshal``-able, and this process returns ``unpack`` of it."""
     found: dict[int, object] = {}
     workers = _worker_count(len(tasks), budget)
     if workers:
+        order = _dispatch_order([cost(*task) for task in tasks])
         try:
-            found = _fork_tasks(lambda k: pack(run(*tasks[k])), len(tasks), workers)
+            found = _fork_tasks(lambda k: pack(run(*tasks[k])), order, workers)
         except OSError:
             pass  # every task runs in-process
     return [unpack(found[k]) if k in found else run(*task) for k, task in enumerate(tasks)]
+
+
+def _dispatch_order(costs: list) -> list[int]:
+    """Task indices by descending cost; equal costs keep task order."""
+    return sorted(range(len(costs)), key=lambda k: -costs[k])
 
 
 def _worker_count(count: int, budget: int) -> int:
@@ -55,13 +71,14 @@ def _worker_count(count: int, budget: int) -> int:
     return workers if workers >= 2 else 0
 
 
-def _fork_tasks(job: Callable, count: int, workers: int) -> dict[int, object]:
-    """Run ``job(k)`` for every task index k < ``count`` in ``workers``
+def _fork_tasks(job: Callable, order: list[int], workers: int) -> dict[int, object]:
+    """Run ``job(k)`` for every task index k in ``order`` in ``workers``
     forked children; return the results they sent, by task index.
 
-    The children take 4-byte task indices from one shared pipe, so a
-    child that finishes early takes the next task; every write to that
-    pipe is whole indices and atomic, so each 4-byte read is one index.
+    The children take 4-byte task indices from one shared pipe in
+    ``order``, so a child that finishes early takes the next task; every
+    write to that pipe is whole indices and atomic, so each 4-byte read
+    is one index.
     Each child sends length-prefixed ``marshal`` frames of (index,
     result) over its own pipe, and the parent reads every pipe to EOF.
     Every child is reaped before this returns or raises."""
@@ -84,7 +101,7 @@ def _fork_tasks(job: Callable, count: int, workers: int) -> dict[int, object]:
             owned.discard(out_w)
         os.close(task_r)
         owned.discard(task_r)
-        pending = b"".join(k.to_bytes(4, "little") for k in range(count))
+        pending = b"".join(k.to_bytes(4, "little") for k in order)
         os.set_blocking(task_w, False)
         poller = select.poll()
         poller.register(task_w, select.POLLOUT)

@@ -43,13 +43,17 @@ Room-level infections are summed and divided by N_est to get the
 school-level prediction, which is compared against the reported true
 positivity.
 
-Every round of every run of every variation is one planner round that
-depends on no other, so :func:`run_experiment` and
-:func:`simulate_school` map them all through the planner's round
-function, which :mod:`gridepi.fanout` runs on every CPU this process may
-run on when the batch's search pays for a fork. The results are merged
-in a fixed order: the output is byte-identical for any CPU count, and
-``taskset -c 0`` runs them serially.
+Every round of every run of every variation of every section is one
+planner round that depends on no other, so :func:`run_experiments` and
+:func:`simulate_schools` map all of a file's rounds through the
+planner's round function in one batch, which :mod:`gridepi.fanout` runs
+on every CPU this process may run on when the batch's search pays for a
+fork, longest rounds first. One batch per file leaves no core idle at
+the end of each section. :func:`run_experiment` and
+:func:`simulate_school` are the one-section case. The rows are built per
+section from that section's rounds, in file order: the output is
+byte-identical for any CPU count, and ``taskset -c 0`` runs the rounds
+serially.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 from .dynamics import (
     FieldTable,
@@ -97,7 +102,9 @@ __all__ = [
     "parse_experiment_file",
     "parse_benchmark_file",
     "run_experiment",
+    "run_experiments",
     "simulate_school",
+    "simulate_schools",
     "make_classroom",
     "rooms_for",
     "emit_results",
@@ -405,36 +412,64 @@ def _chunks(items: list, size: int) -> list[list]:
     return [items[k : k + size] for k in range(0, len(items), size)]
 
 
-def run_experiment(spec: ExperimentSpec, default_seed: int) -> list[RunMetrics]:
-    """Run every variation of one experiment; deterministic given the seed
-    (see :func:`_variation_runs` for the per-run seeds)."""
+def _play_batch(studies: list[tuple[list[Task], Callable]]) -> list:
+    """Play the tasks of every ``(tasks, rows)`` study in one
+    :func:`_play_rounds` batch, then build each study's rows from its
+    own episodes, in study order."""
+    episodes = _play_rounds([task for tasks, _ in studies for task in tasks])
+    rows: list = []
+    start = 0
+    for tasks, build in studies:
+        rows.extend(build(episodes[start : start + len(tasks)]))
+        start += len(tasks)
+    return rows
+
+
+def _experiment(spec: ExperimentSpec, default_seed: int) -> tuple[list[Task], Callable]:
+    """The rounds of one experiment and the function that turns their
+    episodes into its rows (see :func:`_variation_runs` for the seeds)."""
     seed = spec.seed if spec.seed is not None else default_seed
     validated = validate(spec.scenario)
     n = validated.population
-    rows: list[RunMetrics] = []
     tasks = _variation_runs(validated, spec.variations, seed, spec.label, spec.runs)
-    episodes = _play_rounds(tasks)
-    cells = _chunks([e.trajectory for e in episodes], spec.runs * validated.planner.rounds)
-    for (masks, vaccines), trajectories in zip(spec.variations, cells):
-        positivity = [100.0 * t.final.cum_infections / n for t in trajectories]
-        deaths = [t.final.d for t in trajectories]
-        rows.append(
-            RunMetrics(
-                simulation=spec.label + _variation_suffix(masks, vaccines),
-                n=n,
-                masks=masks,
-                vaccines=vaccines,
-                walkable=validated.walkable_count,
-                total_tiles=validated.grid.total_tiles,
-                density=density(validated),
-                pred_pos_pct=sum(positivity) / len(positivity),
-                d_avg=sum(deaths) / len(deaths),
-                episode_positivity=tuple(positivity),
-                episode_deaths=tuple(deaths),
-                trajectories=tuple(trajectories),
+
+    def rows(episodes: list) -> list[RunMetrics]:
+        cells = _chunks([e.trajectory for e in episodes], spec.runs * validated.planner.rounds)
+        built = []
+        for (masks, vaccines), trajectories in zip(spec.variations, cells):
+            positivity = [100.0 * t.final.cum_infections / n for t in trajectories]
+            deaths = [t.final.d for t in trajectories]
+            built.append(
+                RunMetrics(
+                    simulation=spec.label + _variation_suffix(masks, vaccines),
+                    n=n,
+                    masks=masks,
+                    vaccines=vaccines,
+                    walkable=validated.walkable_count,
+                    total_tiles=validated.grid.total_tiles,
+                    density=density(validated),
+                    pred_pos_pct=sum(positivity) / len(positivity),
+                    d_avg=sum(deaths) / len(deaths),
+                    episode_positivity=tuple(positivity),
+                    episode_deaths=tuple(deaths),
+                    trajectories=tuple(trajectories),
+                )
             )
-        )
-    return rows
+        return built
+
+    return tasks, rows
+
+
+def run_experiments(specs: list[ExperimentSpec], default_seed: int) -> list[RunMetrics]:
+    """Run every variation of every experiment as one batch of rounds and
+    return the rows in spec order; deterministic given the seed. Every
+    scenario is validated before any round runs."""
+    return _play_batch([_experiment(spec, default_seed) for spec in specs])
+
+
+def run_experiment(spec: ExperimentSpec, default_seed: int) -> list[RunMetrics]:
+    """Run every variation of one experiment: :func:`run_experiments` of ``[spec]``."""
+    return run_experiments([spec], default_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +514,9 @@ def make_classroom(
     )
 
 
-def simulate_school(spec: SchoolBenchmarkSpec, default_seed: int) -> list[BenchmarkMetrics]:
-    """Simulate one school and return a row per variation.
+def _school(spec: SchoolBenchmarkSpec, default_seed: int) -> tuple[list[Task], Callable]:
+    """The rounds of one school and the function that turns their
+    episodes into a row per variation.
 
     Variation k is reported as ``<name>-MDP-<k+1>``. Every room of a
     variation runs with its own derived seed; the school-level prediction
@@ -490,29 +526,46 @@ def simulate_school(spec: SchoolBenchmarkSpec, default_seed: int) -> list[Benchm
     n_est = spec.per_room * rooms
     classroom = make_classroom(spec.grid_x, spec.grid_y, spec.per_room, spec.planner)
     validated = validate(classroom)
-    rows: list[BenchmarkMetrics] = []
     tasks = _variation_runs(validated, spec.variations, default_seed, spec.name, rooms)
-    episodes = _play_rounds(tasks)
-    room_runs = _chunks([e.trajectory for e in episodes], spec.planner.rounds)
-    for v_index, (masks, vaccines) in enumerate(spec.variations):
-        total_infections = 0.0
-        for room in room_runs[v_index * rooms : (v_index + 1) * rooms]:
-            total_infections += sum(t.final.cum_infections for t in room) / len(room)
-        pred = 100.0 * total_infections / n_est
-        rows.append(
-            BenchmarkMetrics(
-                model=f"{spec.name}-MDP-{v_index + 1}",
-                simulations=rooms,
-                masks=masks,
-                vaccines=vaccines,
-                n=spec.enrollment,
-                n_est=n_est,
-                pred_pos_pct=pred,
-                true_pos_pct=spec.true_pos_pct,
-                abs_error=abs(pred - spec.true_pos_pct),
+
+    def rows(episodes: list) -> list[BenchmarkMetrics]:
+        room_runs = _chunks([e.trajectory for e in episodes], spec.planner.rounds)
+        built = []
+        for v_index, (masks, vaccines) in enumerate(spec.variations):
+            total_infections = 0.0
+            for room in room_runs[v_index * rooms : (v_index + 1) * rooms]:
+                total_infections += sum(t.final.cum_infections for t in room) / len(room)
+            pred = 100.0 * total_infections / n_est
+            built.append(
+                BenchmarkMetrics(
+                    model=f"{spec.name}-MDP-{v_index + 1}",
+                    simulations=rooms,
+                    masks=masks,
+                    vaccines=vaccines,
+                    n=spec.enrollment,
+                    n_est=n_est,
+                    pred_pos_pct=pred,
+                    true_pos_pct=spec.true_pos_pct,
+                    abs_error=abs(pred - spec.true_pos_pct),
+                )
             )
-        )
-    return rows
+        return built
+
+    return tasks, rows
+
+
+def simulate_schools(
+    specs: list[SchoolBenchmarkSpec], default_seed: int
+) -> list[BenchmarkMetrics]:
+    """Simulate every school as one batch of rounds and return a row per
+    variation, in spec order. Every classroom is validated before any
+    round runs."""
+    return _play_batch([_school(spec, default_seed) for spec in specs])
+
+
+def simulate_school(spec: SchoolBenchmarkSpec, default_seed: int) -> list[BenchmarkMetrics]:
+    """Simulate one school: :func:`simulate_schools` of ``[spec]``."""
+    return simulate_schools([spec], default_seed)
 
 
 # ---------------------------------------------------------------------------

@@ -163,19 +163,21 @@ def _search(
         total = 0.0
         while sim.step < horizon:
             actions = available_actions(sim, settings)
-            untried = [a for a in actions if a not in node.children]
-            if untried:
-                action = untried[0]
+            children = node.children
+            for action in actions:
+                if action not in children:
+                    break
+            else:  # every action tried: descend by UCB1
+                action = _select(node, actions, exploration)
                 total += step_inplace(sim, action, validated, settings, rng)
-                child = SearchNode()
-                node.children[action] = child
-                path.append(child)
-                total += _rollout(sim, validated, settings, rng)
-                break
-            action = _select(node, actions, exploration)
+                node = children[action]
+                path.append(node)
+                continue
             total += step_inplace(sim, action, validated, settings, rng)
-            node = node.children[action]
-            path.append(node)
+            child = children[action] = SearchNode()
+            path.append(child)
+            total += _rollout(sim, validated, settings, rng)
+            break
         for visited in path:
             visited.visit_count += 1
             visited.total_return += total
@@ -368,18 +370,30 @@ def _play_round(
     return EpisodeResult(trajectory, total, events or [], decisions, state)
 
 
+def _search_steps(settings: PlannerSettings, policy: str) -> int:
+    """Steps a round searches: none unless the planner has an intervention."""
+    if policy == "planner" and (settings.masks_available or settings.vaccines_available):
+        return settings.horizon * settings.uct_iterations
+    return 0
+
+
 def _search_budget(tasks: list[tuple]) -> int:
-    """Search steps of :func:`_play_round` ``tasks``: planner rounds with an intervention."""
-    return sum(
-        settings.horizon * settings.uct_iterations
-        for _, settings, policy, *_ in tasks
-        if policy == "planner" and (settings.masks_available or settings.vaccines_available)
-    )
+    """Search steps of :func:`_play_round` ``tasks``."""
+    return sum(_search_steps(settings, policy) for _, settings, policy, *_ in tasks)
+
+
+def _round_cost(validated: ValidatedScenario, settings: PlannerSettings, policy: str, *_) -> int:
+    """Expected cost of a :func:`_play_round` task: search steps times
+    persons, since a step's work grows with the persons it moves."""
+    return _search_steps(settings, policy) * validated.population
 
 
 def _play_rounds(tasks: list[tuple]) -> list[EpisodeResult]:
-    """``[_play_round(*task) for task in tasks]`` through :func:`fanout.fan_out`."""
-    return fanout.fan_out(_play_round, tasks, _search_budget(tasks), _pack_round, _unpack_round)
+    """``[_play_round(*task) for task in tasks]`` through :func:`fanout.fan_out`,
+    longest rounds first."""
+    return fanout.fan_out(
+        _play_round, tasks, _search_budget(tasks), _round_cost, _pack_round, _unpack_round
+    )
 
 
 def _pack_round(result: EpisodeResult) -> tuple:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+from gridepi.dynamics import Compartment
 from gridepi.scenario import ScenarioConfig, parse_scenario
 
 
@@ -49,3 +50,28 @@ def random_scenario_text(
 
 def random_scenario(rng: random.Random, **kwargs) -> ScenarioConfig:
     return parse_scenario(random_scenario_text(rng, **kwargs))
+
+
+def movement_reference(state, adjacency, p_mv: float, rng) -> list[int]:
+    """The movement phase as first written, with ``rng.randrange``: each
+    living person in id order moves with probability ``p_mv`` to a
+    uniformly drawn free neighbor, and a person with one free neighbor
+    moves there without a draw. Returns each mover's free-neighbor count,
+    so a test can see which cases it covered."""
+    counts = []
+    for p in state.persons:
+        if p.compartment is Compartment.D or rng.random() >= p_mv:
+            continue
+        pos = (p.x, p.y)
+        candidates = [t for t in adjacency[pos] if t not in state.occupancy]
+        counts.append(len(candidates))
+        if not candidates:
+            continue
+        if len(candidates) == 1:
+            target = candidates[0]
+        else:
+            target = candidates[rng.randrange(len(candidates))]
+        del state.occupancy[pos]
+        state.occupancy[target] = p.id
+        p.x, p.y = target
+    return counts

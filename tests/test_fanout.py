@@ -1,6 +1,7 @@
 """The forked fan-out of rounds: same bytes and values as the serial
-path, no child left behind, and every failure ends as the serial path
-ends, for the harness's batches and for :func:`run_episode` alike.
+path in any dispatch order, no child left behind, and every failure ends
+as the serial path ends, for the harness's batches and for
+:func:`run_episode` alike.
 
 The ``forked`` fixture makes every batch of two or more rounds fork two
 workers, whatever the host: it reports two usable CPUs and drops the
@@ -328,6 +329,106 @@ def test_no_fork_without_the_os_calls(missing, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.delattr(os, missing)
     assert _workers(big) == 0
+
+
+def test_dispatch_order_is_longest_first():
+    """Costs descending, equal costs in task order, zero-cost tasks last."""
+    assert fanout._dispatch_order([0, 5, 3, 5, 0, 9, 3]) == [5, 1, 3, 2, 6, 0, 4]
+    assert fanout._dispatch_order([0, 0, 0]) == [0, 1, 2]
+    assert fanout._dispatch_order([]) == []
+
+
+def test_round_cost_is_search_steps_times_persons():
+    (task,) = _budget_tasks(10, 7, True, count=1)
+    validated, settings, _, seed = task
+    assert validated.population == 3
+    assert planner._round_cost(*task) == 10 * 7 * 3
+    assert planner._round_cost(validated, settings, "random", seed) == 0
+    assert planner._round_cost(validated, settings, "noop", seed, True, True) == 0
+    (idle,) = _budget_tasks(10, 7, False, count=1)
+    assert planner._round_cost(*idle) == 0
+
+
+def _mixed_rounds() -> list:
+    """Planner rounds in two rooms, some with an intervention and some
+    without, so their costs differ and some are 0, plus a random round."""
+    tasks = []
+    for room in ("small_space.scn", "small_crowded.scn"):
+        validated = validate(load_scenario(asset_path(room)))
+        for masks, vaccines, horizon in ((False, False, 4), (True, True, 3), (True, False, 5)):
+            settings = replace(
+                validated.planner,
+                masks_available=masks,
+                vaccines_available=vaccines,
+                horizon=horizon,
+                uct_iterations=20,
+                rounds=1,
+            )
+            tasks += [(validated, settings, "planner", seed) for seed in (3, 4)]
+    tasks.append((validated, settings, "random", 5))
+    return tasks
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_dispatch_order_never_changes_a_result(reverse, forked, monkeypatch):
+    """The forked rounds equal the serial ones, with ``==`` and ``repr``,
+    whether the workers take them longest first or in the reverse order."""
+    tasks = _mixed_rounds()
+    costs = [planner._round_cost(*task) for task in tasks]
+    longest_first = fanout._dispatch_order(costs)
+    assert costs[longest_first[0]] == max(costs) > costs[longest_first[-1]] == 0
+    order = longest_first[::-1] if reverse else longest_first
+    monkeypatch.setattr(fanout, "_dispatch_order", lambda costs: order)
+    sent = []
+    real_fork_tasks = fanout._fork_tasks
+
+    def recording(job, order, workers):
+        sent.append(order)
+        return real_fork_tasks(job, order, workers)
+
+    monkeypatch.setattr(fanout, "_fork_tasks", recording)
+    episodes = planner._play_rounds(tasks)
+    assert sent == [order]
+    assert forked.forks == 2 and forked.parent_tasks == 0
+    monkeypatch.setattr(fanout, "FORK_MIN_BUDGET", 10**9)
+    _assert_same(episodes, planner._play_rounds(tasks))
+    assert forked.parent_tasks == len(tasks)
+
+
+TWO_SECTIONS = """\
+[experiment]
+scenario = small.scn
+variations = none, masks+vaccines
+runs = 2
+seed = 4
+
+[experiment]
+scenario = crowded.scn
+variations = masks
+runs = 1
+"""
+
+
+def test_one_batch_command_equals_its_sections_run_alone(tmp_path, forked):
+    """A forked two-section ``gridepi experiment`` writes the rows that
+    its two sections write one file each, under one header."""
+    for name, asset in (("small", "small_space.scn"), ("crowded", "small_crowded.scn")):
+        text = asset_path(asset).read_text(encoding="utf-8")
+        text = text.replace("rounds=5", "rounds=2").replace("uct_iterations=500", "uct_iterations=12")
+        (tmp_path / f"{name}.scn").write_text(text, encoding="utf-8")
+    sections = TWO_SECTIONS.split("\n\n")
+    paths = []
+    for name, text in (("both", TWO_SECTIONS), ("first", sections[0]), ("second", sections[1])):
+        (tmp_path / f"{name}.exp").write_text(text, encoding="utf-8")
+        paths.append(tmp_path / f"{name}.csv")
+        argv = ["experiment", str(tmp_path / f"{name}.exp"), "--seed", "8", "--out", str(paths[-1])]
+        assert cli_main(argv) == 0
+    assert forked.forks == 2 * 3 and forked.parent_tasks == 0
+    both, first, second = (path.read_text(encoding="utf-8") for path in paths)
+    header = first.splitlines(keepends=True)[0]
+    assert second.startswith(header)
+    assert both == first + second[len(header):]
+    assert len(both.splitlines()) == 1 + 2 + 1
 
 
 def test_task_list_splits_runs_into_rounds():

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from gridepi import assets
+from gridepi import assets, planner
 from gridepi.harness import (
     BENCHMARK_CSV_HEADER,
     BenchmarkMetrics,
@@ -22,7 +22,9 @@ from gridepi.harness import (
     parse_experiment_file,
     rooms_for,
     run_experiment,
+    run_experiments,
     simulate_school,
+    simulate_schools,
 )
 from gridepi.scenario import (
     PlannerSettings,
@@ -524,6 +526,44 @@ def test_simulate_school_rows():
 def test_simulate_school_is_deterministic():
     assert simulate_school(_tiny_school(), 11) == simulate_school(_tiny_school(), 11)
     assert simulate_school(_tiny_school(), 11) != simulate_school(_tiny_school(), 12)
+
+
+# ---------------------------------------------------------------------------
+# One batch per file
+# ---------------------------------------------------------------------------
+
+
+def _two_experiments(tmp_path):
+    (seeded,) = parse_experiment_file(_write_spec(tmp_path))
+    other = replace(seeded, label="other", seed=None, runs=1, variations=((True, True),))
+    return [seeded, other, seeded]
+
+
+def test_one_experiment_batch_equals_the_specs_run_one_by_one(tmp_path):
+    specs = _two_experiments(tmp_path)
+    rows = run_experiments(specs, 6)
+    assert rows == [row for spec in specs for row in run_experiment(spec, 6)]
+    assert [len(row.trajectories) for row in rows] == [4, 4, 2, 4, 4]
+
+
+def test_one_school_batch_equals_the_specs_run_one_by_one():
+    schools = [_tiny_school(), replace(_tiny_school(), name="Other", enrollment=9)]
+    rows = simulate_schools(schools, 11)
+    assert rows == [row for school in schools for row in simulate_school(school, 11)]
+    assert [row.model for row in rows] == [
+        "Tiny-MDP-1", "Tiny-MDP-2", "Other-MDP-1", "Other-MDP-2"
+    ]
+
+
+def test_every_scenario_is_validated_before_any_round(tmp_path, monkeypatch):
+    good, *_ = _two_experiments(tmp_path)
+    first, second = good.scenario.placements
+    shared = replace(good.scenario, placements=(first, replace(second, position=first.position)))
+    rounds = []
+    monkeypatch.setattr(planner, "_play_round", lambda *task: rounds.append(task))
+    with pytest.raises(ScenarioValidationError, match="two persons share tile"):
+        run_experiments([good, replace(good, scenario=shared)], 1)
+    assert rounds == []
 
 
 # ---------------------------------------------------------------------------

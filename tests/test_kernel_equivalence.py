@@ -1,10 +1,12 @@
 """Exact equivalence of the step kernel's fast paths with their references.
 
 The kernel scatters exposure from the infectious sources, draws random
-indices through ``rng.randbelow`` (the random policy's action among them,
-as an index into ``available_actions``), and formats event lines directly.
-Each must agree exactly (``==``, never ``approx``) with the reference it
-replaces, or stored outputs would change.
+indices by ``randrange``'s own rejection loop (through ``rng.randbelow``
+for the random policy's action, inline for a mover's tile), skips the
+transition phase where no one is exposed or infectious, and formats
+event lines directly. Each must agree exactly (``==``, never ``approx``)
+with the reference it replaces, draw for draw, or stored outputs would
+change.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from hypothesis import strategies as st
 from gridepi.dynamics import (
     Compartment,
     StepEvent,
+    _movement_inplace,
+    _transition_inplace,
     events_to_jsonl,
     exposure_misses,
     exposure_probability,
@@ -27,7 +31,7 @@ from gridepi.planner import _random_action, available_actions
 from gridepi.rng import randbelow
 from gridepi.scenario import EpiParams, PlannerSettings, parse_scenario, validate
 
-from helpers import random_scenario
+from helpers import movement_reference, random_scenario
 
 # ---------------------------------------------------------------------------
 # Exposure: scattered miss products == exposure_probability
@@ -116,6 +120,69 @@ def test_randbelow_draws_exactly_like_randrange():
             for n in range(1, 65):
                 assert randbelow(fast.getrandbits, n) == reference.randrange(n)
                 assert fast.getstate() == reference.getstate()
+
+
+# ---------------------------------------------------------------------------
+# Movement: the inline index draw == rng.randrange, draw for draw
+# ---------------------------------------------------------------------------
+
+
+def _check_movement(seed: int, p_mv: float) -> list[int]:
+    """Run the movement phase and its reference on equal copies of a
+    random room; return the movers' free-neighbor counts."""
+    rng = random.Random(seed)
+    validated = validate(random_scenario(rng))
+    state = init_state(validated, seed)
+    for person in state.persons:
+        if rng.random() < 0.15:
+            person.compartment = Compartment.D
+    reference = state.clone()
+    fast_rng, reference_rng = random.Random(seed), random.Random(seed)
+    _movement_inplace(state, validated.adjacency, p_mv, fast_rng)
+    counts = movement_reference(reference, validated.adjacency, p_mv, reference_rng)
+    assert [(p.x, p.y) for p in state.persons] == [(p.x, p.y) for p in reference.persons]
+    assert list(state.occupancy.items()) == list(reference.occupancy.items())
+    assert fast_rng.getstate() == reference_rng.getstate()
+    return counts
+
+
+@given(st.integers(min_value=0, max_value=2**32), st.sampled_from([0.25, 0.6, 1.0]))
+@settings(max_examples=200, deadline=None)
+def test_movement_draws_like_randrange(seed, p_mv):
+    _check_movement(seed, p_mv)
+
+
+def test_movement_covers_every_free_neighbor_count():
+    """Movers with 0, 1, 2, 3 and 4 free neighbors all occur, so the
+    no-move, no-draw and rejection-loop cases are each compared."""
+    seen = set()
+    for seed in range(200):
+        seen.update(_check_movement(seed, 1.0))
+    assert seen == {0, 1, 2, 3, 4}
+
+
+# ---------------------------------------------------------------------------
+# Transition: no E and no I changes nothing and draws nothing
+# ---------------------------------------------------------------------------
+
+
+@given(st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=100, deadline=None)
+def test_transition_without_exposed_or_infectious_draws_nothing(seed):
+    rng = random.Random(seed)
+    validated = validate(random_scenario(rng))
+    state = init_state(validated, seed)
+    for person in state.persons:
+        if person.compartment in (Compartment.E, Compartment.I):
+            person.compartment = rng.choice((Compartment.S, Compartment.R, Compartment.D))
+    before = state.clone()
+    env = random.Random(seed)
+    start = env.getstate()
+    events = []
+    reach = validated.grid.width + validated.grid.height - 2
+    assert _transition_inplace(state, validated.params, reach, env, events) == (0, 0)
+    assert env.getstate() == start
+    assert events == [] and state == before
 
 
 # ---------------------------------------------------------------------------
