@@ -56,7 +56,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 from operator import attrgetter
 from typing import Any, Callable, Iterable, NamedTuple
 
-from .rng import substream
+from .rng import randbelow, substream
 from .scenario import EpiParams, PlannerSettings, ValidatedScenario
 
 __all__ = [
@@ -411,12 +411,7 @@ def _movement_inplace(
         if n == 1:
             target = candidates[0]
         else:
-            # rng.randrange(n), inline: the rejection loop of randbelow
-            k = n.bit_length()
-            r = getrandbits(k)
-            while r >= n:
-                r = getrandbits(k)
-            target = candidates[r]
+            target = candidates[randbelow(getrandbits, n)]
         del occupancy[pos]
         occupancy[target] = p.id
         if events is not None:

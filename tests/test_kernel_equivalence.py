@@ -1,8 +1,8 @@
 """Exact equivalence of the step kernel's fast paths with their references.
 
 The kernel scatters exposure from the infectious sources, draws random
-indices by ``randrange``'s own rejection loop (through ``rng.randbelow``
-for the random policy's action, inline for a mover's tile), skips the
+indices through ``rng.randbelow`` (the random policy's action among them,
+as an index into ``available_actions``, and a mover's tile), skips the
 transition phase where no one is exposed or infectious, and formats
 event lines directly. Each must agree exactly (``==``, never ``approx``)
 with the reference it replaces, draw for draw, or stored outputs would
@@ -123,7 +123,7 @@ def test_randbelow_draws_exactly_like_randrange():
 
 
 # ---------------------------------------------------------------------------
-# Movement: the inline index draw == rng.randrange, draw for draw
+# Movement: the tile draw == rng.randrange, draw for draw
 # ---------------------------------------------------------------------------
 
 
