@@ -1,7 +1,7 @@
 """Run independent tasks on every CPU this process may run on.
 
 :func:`fan_out` returns what the serial loop ``[run(*task) for task in
-tasks]`` returns. When the batch's search pays for it, the tasks run in
+tasks]`` returns. When the batch's cost pays for it, the tasks run in
 forked workers and each result crosses a pipe as the plain ``marshal``
 data its caller's ``pack`` makes; the in-process path packs nothing.
 The workers take the tasks longest first, by an expected cost the
@@ -23,31 +23,31 @@ from typing import Callable, NoReturn
 
 __all__ = ["FORK_MIN_BUDGET", "fan_out"]
 
-# A batch whose search budget is below this runs in-process: a fork
-# costs about 3 ms, more than the search of the tiny bundled inputs.
+# A batch whose summed cost is below this runs in-process: forking and
+# reaping two workers costs about 5 ms. The unit is the caller's; the
+# planner counts person-steps, so small_space's 2 rounds of 4 steps
+# (16,000) fork, each round taking 40-70 ms in-process.
 FORK_MIN_BUDGET = 10_000
 
 
 def fan_out(
-    run: Callable,
-    tasks: list[tuple],
-    budget: int,
-    cost: Callable,
-    pack: Callable,
-    unpack: Callable,
+    run: Callable, tasks: list[tuple], cost: Callable, pack: Callable, unpack: Callable
 ) -> list:
     """``[run(*task) for task in tasks]``, in forked workers when
-    :func:`_worker_count` allows for a batch of ``budget`` search.
+    :func:`_worker_count` allows for a batch of the summed ``cost(*task)``.
 
-    The workers take the tasks in :func:`_dispatch_order` of
-    ``cost(*task)``. A worker sends ``pack(run(*task))``, which must be
-    ``marshal``-able, and this process returns ``unpack`` of it."""
+    The workers take the tasks in :func:`_dispatch_order` of those
+    costs. A worker sends ``pack(run(*task))``, which must be
+    ``marshal``-able, and this process returns ``unpack`` of it. The
+    caller's ``unpack`` names its own classes; a pickled result would
+    name them by import path, which no longer leads to them once the
+    package has been imported afresh, as a benchmark's set-up does."""
+    costs = [cost(*task) for task in tasks]
     found: dict[int, object] = {}
-    workers = _worker_count(len(tasks), budget)
+    workers = _worker_count(len(tasks), sum(costs))
     if workers:
-        order = _dispatch_order([cost(*task) for task in tasks])
         try:
-            found = _fork_tasks(lambda k: pack(run(*tasks[k])), order, workers)
+            found = _fork_tasks(lambda k: pack(run(*tasks[k])), _dispatch_order(costs), workers)
         except OSError:
             pass  # every task runs in-process
     return [unpack(found[k]) if k in found else run(*task) for k, task in enumerate(tasks)]

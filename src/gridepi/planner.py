@@ -370,30 +370,20 @@ def _play_round(
     return EpisodeResult(trajectory, total, events or [], decisions, state)
 
 
-def _search_steps(settings: PlannerSettings, policy: str) -> int:
-    """Steps a round searches: none unless the planner has an intervention."""
-    if policy == "planner" and (settings.masks_available or settings.vaccines_available):
-        return settings.horizon * settings.uct_iterations
-    return 0
-
-
-def _search_budget(tasks: list[tuple]) -> int:
-    """Search steps of :func:`_play_round` ``tasks``."""
-    return sum(_search_steps(settings, policy) for _, settings, policy, *_ in tasks)
-
-
 def _round_cost(validated: ValidatedScenario, settings: PlannerSettings, policy: str, *_) -> int:
-    """Expected cost of a :func:`_play_round` task: search steps times
+    """Expected cost of a :func:`_play_round` task in person-steps: the
+    steps it searches, none unless the planner has an intervention, times
     persons, since a step's work grows with the persons it moves."""
-    return _search_steps(settings, policy) * validated.population
+    if policy == "planner" and (settings.masks_available or settings.vaccines_available):
+        return settings.horizon * settings.uct_iterations * validated.population
+    return 0
 
 
 def _play_rounds(tasks: list[tuple]) -> list[EpisodeResult]:
     """``[_play_round(*task) for task in tasks]`` through :func:`fanout.fan_out`,
+    in forked workers when their summed :func:`_round_cost` pays for it,
     longest rounds first."""
-    return fanout.fan_out(
-        _play_round, tasks, _search_budget(tasks), _round_cost, _pack_round, _unpack_round
-    )
+    return fanout.fan_out(_play_round, tasks, _round_cost, _pack_round, _unpack_round)
 
 
 def _pack_round(result: EpisodeResult) -> tuple:

@@ -584,8 +584,9 @@ def validate(config: ScenarioConfig) -> ValidatedScenario:
         errors.append("grid must have positive dimensions")
     if len(grid.tiles) != grid.total_tiles:
         errors.append("grid tile count does not match width*height")
-    walkable = grid.walkable_count if not errors else 0
-    if not errors and walkable == 0:
+    tiles_valid = not errors  # else a tile lookup may fall outside ``tiles``
+    walkable = grid.walkable_count if tiles_valid else 0
+    if tiles_valid and walkable == 0:
         errors.append("grid has no walkable tiles")
 
     errors += rule_errors(PARAM_RULES, config.params, "params.")
@@ -600,7 +601,7 @@ def validate(config: ScenarioConfig) -> ValidatedScenario:
         if not grid.in_bounds(x, y):
             errors.append(f"person {pl.person_id} placed out of bounds at {pl.position}")
             continue
-        if not grid.is_walkable(x, y):
+        if tiles_valid and not grid.is_walkable(x, y):
             errors.append(f"person {pl.person_id} placed on a wall at {pl.position}")
         if pl.position in seen_positions:
             errors.append(f"two persons share tile {pl.position}")

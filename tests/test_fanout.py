@@ -12,10 +12,13 @@ outlives it.
 
 from __future__ import annotations
 
+import importlib
 import os
 import signal
+import sys
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +28,7 @@ from gridepi.cli import EXIT_USAGE, cli_main
 from gridepi.harness import SchoolBenchmarkSpec, simulate_school
 from gridepi.planner import run_episode
 from gridepi.scenario import PlannerSettings, ScenarioError, load_scenario, validate
-from test_golden import CASES, GOLDEN, INPUTS, run_case
+from test_golden import CASES, GOLDEN, INPUTS, ROOMS, run_case
 
 HARNESS_CASES = ("experiment_tiny", "experiment_tiny_json", "benchmark_tiny")
 SIMULATE_CASES = tuple(sorted(name for name in CASES if name.startswith("simulate_")))
@@ -272,8 +275,47 @@ def test_no_fork_where_none_pays(monkeypatch):
     assert forks == []
 
 
+def test_result_the_pipe_cannot_carry_reruns_in_process(forked):
+    """A packed result that ``marshal`` cannot write ends the worker that
+    made it; the parent runs that task itself and returns the serial
+    results."""
+    parent = os.getpid()
+    ran_here = []
+
+    def run(k):
+        if os.getpid() == parent:
+            ran_here.append(k)
+        return (lambda: k) if k == 1 else 2 * k
+
+    results = fanout.fan_out(run, [(k,) for k in range(4)], lambda k: 1, lambda r: r, lambda r: r)
+    assert forked.forks == 2 and ran_here == [1]
+    assert [results[0], results[1](), *results[2:]] == [0, 1, 4, 6]
+
+
+def test_workers_serve_a_caller_from_an_earlier_import(forked, monkeypatch):
+    """A caller holding gridepi from before the package was imported
+    afresh, as perfbench's set-up does, still gets every round from the
+    workers, rebuilt with its own classes; a result pickled by import
+    path would name the new classes, so a worker could not send it."""
+    tasks = _mixed_rounds()
+    earlier = {name: module for name, module in sys.modules.items() if name.split(".")[0] == "gridepi"}
+    try:
+        for name in earlier:
+            del sys.modules[name]
+        assert importlib.import_module("gridepi.planner") is not planner
+        episodes = planner._play_rounds(tasks)
+    finally:
+        for name in [name for name in sys.modules if name.split(".")[0] == "gridepi"]:
+            del sys.modules[name]
+        sys.modules.update(earlier)
+    assert forked.forks == 2 and forked.parent_tasks == 0
+    assert {type(episode) for episode in episodes} == {planner.EpisodeResult}
+    monkeypatch.setattr(fanout, "FORK_MIN_BUDGET", 10**9)
+    _assert_same(episodes, planner._play_rounds(tasks))
+
+
 # ---------------------------------------------------------------------------
-# Worker count and the search budget
+# Worker count and the round cost
 # ---------------------------------------------------------------------------
 
 
@@ -290,19 +332,26 @@ def _budget_tasks(horizon: int, iterations: int, masks: bool, count: int = 4) ->
 
 
 def _workers(tasks: list) -> int:
-    return fanout._worker_count(len(tasks), planner._search_budget(tasks))
+    return fanout._worker_count(len(tasks), sum(planner._round_cost(*task) for task in tasks))
+
+
+def _iterations_to_reach(budget: int, person_steps_per_iteration: int) -> int:
+    return -(-budget // person_steps_per_iteration)
 
 
 def test_worker_count_rules(monkeypatch):
+    """The budget is counted in person-steps: each task searches 10 steps
+    per iteration in a room of 3 persons."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    per_task = fanout.FORK_MIN_BUDGET // 10  # one 10-step task reaches the constant
+    per_task = _iterations_to_reach(fanout.FORK_MIN_BUDGET, 10 * 3)  # one task reaches it
     big = _budget_tasks(10, per_task, True)
     assert _workers(big) == 3
     assert _workers(big[:2]) == 2  # at most one worker per task
     assert _workers(big[:1]) == 0
     # the budget is summed over the planner tasks with an intervention enabled
-    assert _workers(_budget_tasks(10, per_task // 4, True)) == 3
-    assert _workers(_budget_tasks(10, per_task // 4 - 1, True)) == 0
+    per_four = _iterations_to_reach(fanout.FORK_MIN_BUDGET, 4 * 10 * 3)
+    assert _workers(_budget_tasks(10, per_four, True)) == 3
+    assert _workers(_budget_tasks(10, per_four - 1, True)) == 0
     assert _workers(_budget_tasks(10, 10**6, False)) == 0
     assert _workers([(v, s, "random", seed) for v, s, _, seed in big]) == 0
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5})
@@ -347,6 +396,65 @@ def test_round_cost_is_search_steps_times_persons():
     assert planner._round_cost(validated, settings, "noop", seed, True, True) == 0
     (idle,) = _budget_tasks(10, 7, False, count=1)
     assert planner._round_cost(*idle) == 0
+
+
+@pytest.mark.parametrize("room", ROOMS)
+def test_round_cost_is_at_least_the_search_steps(room):
+    """A searching round has a person, so counting persons never drops a
+    batch below the search steps that decided its fork before."""
+    validated = validate(load_scenario(asset_path(f"{room}.scn")))
+    settings = validated.planner
+    assert settings.masks_available or settings.vaccines_available
+    steps = settings.horizon * settings.uct_iterations
+    assert planner._round_cost(validated, settings, "planner", 0) >= steps > 0
+
+
+class Decided(Exception):
+    """Ends a command once its fan-out batch's worker count is known."""
+
+
+def _batch_workers(argv: list[str], monkeypatch) -> int:
+    """Workers the one fan-out batch of ``gridepi argv`` gets on two CPUs;
+    the command stops there, so none of its rounds runs."""
+    decided = []
+
+    def decide(run, tasks, cost, *codec):
+        decided.append(fanout._worker_count(len(tasks), sum(cost(*task) for task in tasks)))
+        raise Decided
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(fanout, "fan_out", decide)
+    with pytest.raises(Decided):
+        cli_main(argv)
+    (workers,) = decided
+    return workers
+
+
+PERFBENCH_TINY = Path(__file__).resolve().parents[1] / "perfbench" / "tiny"
+SMALL_BATCHES = {
+    **{name: CASES[name] for name in HARNESS_CASES + SIMULATE_CASES},
+    "perfbench_tiny_exp": lambda workdir: [
+        "experiment", str(PERFBENCH_TINY / "tiny.exp"), "--runs", "1", "--seed", "1729",
+    ],
+    "perfbench_tiny_bench": lambda workdir: [
+        "benchmark", str(PERFBENCH_TINY / "tiny.bench"), "--seed", "1729",
+    ],
+}
+LARGE_BATCHES = {
+    "table2_exp": ["experiment", str(asset_path("table2.exp")), "--runs", "1", "--seed", "1729"],
+    "schools_bench": ["benchmark", str(asset_path("schools.bench")), "--seed", "1729"],
+    **{f"simulate_{room}": ["simulate", str(asset_path(f"{room}.scn"))] for room in ROOMS},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_BATCHES))
+def test_golden_and_tiny_batches_run_in_process(name, tmp_path, monkeypatch):
+    assert _batch_workers(SMALL_BATCHES[name](tmp_path), monkeypatch) == 0
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_BATCHES))
+def test_study_and_bundled_room_batches_fork(name, monkeypatch):
+    assert _batch_workers(LARGE_BATCHES[name], monkeypatch) >= 2
 
 
 def _mixed_rounds() -> list:

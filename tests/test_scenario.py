@@ -350,6 +350,18 @@ def test_validate_rejects_pre_vaccinated_non_susceptible():
         validate(config)
 
 
+def test_validate_rejects_short_tiles_without_reading_them():
+    """Placements on a grid whose tiles do not fill width*height are
+    checked for bounds but not against the missing tiles."""
+    config = ScenarioConfig(
+        grid=GridMap(3, 3, (True,) * 4),
+        placements=(Placement(0, (2, 2), "I"),),
+    )
+    with pytest.raises(ScenarioValidationError) as info:
+        validate(config)
+    assert info.value.errors == ["grid tile count does not match width*height"]
+
+
 def test_validate_rejects_all_walls():
     config = ScenarioConfig(grid=GridMap(2, 1, (False, False)), placements=())
     with pytest.raises(ScenarioValidationError, match="no walkable"):
