@@ -23,9 +23,9 @@ of a state are enumerated only by :func:`available_actions`;
 Exposure is scattered from the infectious sources: each source visits
 the occupied tiles within the exposure radius and multiplies the miss
 probability of every susceptible person there (:func:`exposure_misses`),
-so exposure costs O(sources * radius^2) per step, not O(N^2).
-:func:`exposure_probability` computes one person's probability by the
-same formula and is the reference the exact oracle and the tests use.
+so exposure costs O(sources * radius^2) per step, not O(N^2). This is
+the one exposure formula: :func:`exposure_probability`, which the exact
+oracle reads, takes one person's probability from it.
 
 All randomness comes from ``random.Random`` streams passed in by the
 caller; the functions themselves hold no hidden state. :func:`step_inplace`
@@ -281,36 +281,20 @@ def init_state(validated: ValidatedScenario, seed: int) -> SimState:
 
 
 def exposure_probability(target: PersonState, state: SimState, params: EpiParams) -> float:
-    """Probability that a susceptible person is exposed this step.
+    """Probability that a susceptible person of ``state`` is exposed this
+    step: one minus its miss product in :func:`exposure_misses`.
 
-    Each infectious person within Manhattan distance 1..exposure_radius
-    contributes an independent infection attempt with probability
-    beta * (k / distance), scaled down by the source's mask, the target's
-    mask, and the target's vaccination. The combined probability is one
-    minus the product of the per-source miss probabilities.
+    The scan reaches no farther than the farthest infectious person, so
+    a huge exposure radius stays cheap.
 
     Raises:
         ValueError: If ``target`` is not susceptible.
     """
     if target.compartment is not _S:
         raise ValueError("exposure probability is defined for susceptible persons")
-    radius = params.exposure_radius
-    susceptibility = params.mask_sus_mult if target.masked else 1.0
-    if target.vaccinated:
-        susceptibility *= params.vax_protection
-    beta_k = params.beta * params.k
-    inf_mult = params.mask_inf_mult
-    tx, ty = target.x, target.y
-    miss = 1.0
-    for src in state.persons:
-        if src.compartment is _I:
-            d = abs(src.x - tx) + abs(src.y - ty)
-            if 1 <= d <= radius:
-                attempt = (beta_k / d) * susceptibility
-                if src.masked:
-                    attempt *= inf_mult
-                miss *= 1.0 - attempt
-    return 1.0 - miss
+    sources = [p for p in state.persons if p.compartment is _I]
+    reach = max((abs(p.x - target.x) + abs(p.y - target.y) for p in sources), default=0)
+    return 1.0 - exposure_misses(sources, state, params, reach).get(target.id, 1.0)
 
 
 @cache
@@ -327,20 +311,22 @@ def _diamond(radius: int) -> tuple[tuple[int, int, int], ...]:
 def exposure_misses(
     sources: list[PersonState], state: SimState, params: EpiParams, reach: int
 ) -> dict[int, float]:
-    """Per-target miss products of this step's infection attempts.
+    """Per-target miss products of this step's infection attempts: the
+    one exposure formula.
 
-    ``sources`` are the infectious persons of ``state`` in ascending id.
-    Scatters from them instead of gathering per target: each source
-    visits the occupied tiles of its radius diamond and multiplies the
-    miss factor of every susceptible person found there. Each target's
-    product thus has the same factors, float operations and order as in
-    :func:`exposure_probability`, so ``1.0 - misses[target.id]`` equals
-    it exactly. Susceptible persons with no source in range are absent
-    (their probability is 0.0).
+    Each infectious person within Manhattan distance 1..exposure_radius
+    of a susceptible person makes an independent infection attempt with
+    probability beta * (k / distance), scaled down by the source's mask,
+    the target's mask and the target's vaccination. ``sources`` are the
+    infectious persons of ``state`` in ascending id; each visits the
+    occupied tiles of its radius diamond and multiplies the miss factor
+    ``1.0 - attempt`` of every susceptible person found there. The tests'
+    per-target gather equals it bit for bit. Susceptible persons with no
+    source in range are absent (their probability is 0.0).
 
-    ``reach`` is the largest Manhattan distance between two tiles of the
-    grid, width + height - 2. The radius is clamped to it, which drops no
-    tile and keeps a huge radius from scanning (2r+1)^2 offsets.
+    The radius is clamped to ``reach``, which keeps a huge radius from
+    scanning (2r+1)^2 offsets. The kernel passes width + height - 2, the
+    largest distance between two tiles of the grid, which drops no tile.
     """
     persons = state.persons
     occupant = state.occupancy.get
@@ -738,14 +724,25 @@ def rows_to_json(key: str, fields: FieldTable, rows: Iterable) -> str:
 
 @dataclass(frozen=True)
 class TrajectoryRow:
+    """One step's census. The cumulative totals are read from it, as
+    :class:`SimState` reads them from the compartments."""
+
     step: int
     s: int
     e: int
     i: int
     r: int
     d: int
-    cum_infections: int
-    cum_deaths: int
+
+    @property
+    def cum_infections(self) -> int:
+        """Persons ever infectious: I + R + D."""
+        return self.i + self.r + self.d
+
+    @property
+    def cum_deaths(self) -> int:
+        """Deceased persons: D."""
+        return self.d
 
 
 TRAJECTORY_FIELDS: FieldTable = (
@@ -768,19 +765,7 @@ class Trajectory:
     rows: list[TrajectoryRow] = field(default_factory=list)
 
     def record(self, state: SimState) -> None:
-        s, e, i, r, d = census(state)
-        self.rows.append(
-            TrajectoryRow(
-                state.step,
-                s,
-                e,
-                i,
-                r,
-                d,
-                i + r + d,
-                d,
-            )
-        )
+        self.rows.append(TrajectoryRow(state.step, *census(state)))
 
     @property
     def final(self) -> TrajectoryRow:

@@ -119,6 +119,10 @@ VARIATIONS = {
     "vaccines": (False, True),
     "masks+vaccines": (True, True),
 }
+# (masks_available, vaccines_available) -> its suffix to a simulation label
+_VARIATION_SUFFIX = {
+    flags: "" if token == "none" else "+" + token for token, flags in VARIATIONS.items()
+}
 
 
 @dataclass(frozen=True)
@@ -362,15 +366,6 @@ def parse_benchmark_file(path: str | Path) -> list[SchoolBenchmarkSpec]:
 # ---------------------------------------------------------------------------
 
 
-def _variation_suffix(masks: bool, vaccines: bool) -> str:
-    parts = []
-    if masks:
-        parts.append("masks")
-    if vaccines:
-        parts.append("vaccines")
-    return "+" + "+".join(parts) if parts else ""
-
-
 # one planner round: (scenario, one-round settings, "planner", round seed)
 Task = tuple[ValidatedScenario, PlannerSettings, str, int]
 
@@ -441,7 +436,7 @@ def _experiment(spec: ExperimentSpec, default_seed: int) -> tuple[list[Task], Ca
             deaths = [t.final.d for t in trajectories]
             built.append(
                 RunMetrics(
-                    simulation=spec.label + _variation_suffix(masks, vaccines),
+                    simulation=spec.label + _VARIATION_SUFFIX[masks, vaccines],
                     n=n,
                     masks=masks,
                     vaccines=vaccines,

@@ -14,10 +14,12 @@ Two independent routes:
   disabled, per-person transitions are independent given the current
   joint compartment assignment, so the full distribution over final
   censuses can be computed by dynamic programming. :func:`_person_outcomes`
-  reads exposure from the gather formula :func:`~gridepi.dynamics.exposure_probability`
-  and death from :func:`~gridepi.dynamics.death_probability_on_exit`. The
-  sampler scatters exposure through ``exposure_misses`` instead, and
-  ``tests/test_kernel_equivalence.py`` pins the two routes bit-equal.
+  reads exposure from :func:`~gridepi.dynamics.exposure_probability`, which
+  takes it from the sampler's own ``exposure_misses``, and death from
+  :func:`~gridepi.dynamics.death_probability_on_exit`. So the enumeration
+  checks the sampler's formulas, not a second copy of them. The
+  independent per-target gather lives in ``tests/helpers.py``, and
+  ``tests/test_kernel_equivalence.py`` pins the formula bit-equal to it.
 """
 
 from __future__ import annotations

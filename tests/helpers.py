@@ -1,4 +1,5 @@
-"""Shared test utilities: random scenario generation."""
+"""Shared test utilities: random scenario generation and the reference
+implementations the kernel's fast paths are checked against."""
 
 from __future__ import annotations
 
@@ -46,6 +47,40 @@ def random_scenario_text(
                 f"infected_persistence={round(rng.uniform(0.0, 0.95), 3)}\n"
             )
         return text
+
+
+def gather_exposure_probability(target, state, params) -> float:
+    """Probability that a susceptible person is exposed this step, gathered
+    per target: the reference for ``dynamics.exposure_misses``.
+
+    Each infectious person within Manhattan distance 1..exposure_radius
+    contributes an independent infection attempt with probability
+    beta * (k / distance), scaled down by the source's mask, the target's
+    mask, and the target's vaccination. The combined probability is one
+    minus the product of the per-source miss probabilities.
+
+    Raises:
+        ValueError: If ``target`` is not susceptible.
+    """
+    if target.compartment is not Compartment.S:
+        raise ValueError("exposure probability is defined for susceptible persons")
+    radius = params.exposure_radius
+    susceptibility = params.mask_sus_mult if target.masked else 1.0
+    if target.vaccinated:
+        susceptibility *= params.vax_protection
+    beta_k = params.beta * params.k
+    inf_mult = params.mask_inf_mult
+    tx, ty = target.x, target.y
+    miss = 1.0
+    for src in state.persons:
+        if src.compartment is Compartment.I:
+            d = abs(src.x - tx) + abs(src.y - ty)
+            if 1 <= d <= radius:
+                attempt = (beta_k / d) * susceptibility
+                if src.masked:
+                    attempt *= inf_mult
+                miss *= 1.0 - attempt
+    return 1.0 - miss
 
 
 def random_scenario(rng: random.Random, **kwargs) -> ScenarioConfig:

@@ -32,7 +32,7 @@ from gridepi.dynamics import (
 from gridepi.planner import NOOP, run_episode
 from gridepi.rng import substream
 from gridepi.scenario import EpiParams, load_scenario, parse_scenario, validate
-from helpers import random_scenario
+from helpers import gather_exposure_probability, random_scenario
 
 GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
@@ -270,6 +270,26 @@ def test_huge_exposure_radius_is_clamped_to_the_grid():
     started = time.perf_counter()
     assert history(400) == reference
     assert time.perf_counter() - started < 0.5
+
+
+def test_exposure_probability_scan_is_bounded_by_the_sources():
+    # The probability reads the kernel's scatter, which scans no farther
+    # than the farthest source: a huge radius must give the gather's
+    # value without scanning (2r+1)^2 offsets per call. The radius stays
+    # moderate so that a scan without the bound fails on time (about
+    # 2 s) instead of exhausting memory.
+    v = _validated("[grid]\nSSI\n\n[params]\np_mv=0.0\nexposure_radius=400\n")
+    state = init_state(v, 0)
+    started = time.perf_counter()
+    for _ in range(20):
+        for target in state.persons[:2]:
+            assert exposure_probability(target, state, v.params) == (
+                gather_exposure_probability(target, state, v.params)
+            )
+    assert time.perf_counter() - started < 0.5
+    assert exposure_probability(state.persons[0], state, v.params) == pytest.approx(
+        0.78 / 2
+    )
 
 
 def test_death_probability_on_exit():

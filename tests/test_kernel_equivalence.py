@@ -1,12 +1,13 @@
 """Exact equivalence of the step kernel's fast paths with their references.
 
-The kernel scatters exposure from the infectious sources, draws random
-indices through ``rng.randbelow`` (the random policy's action among them,
-as an index into ``available_actions``, and a mover's tile), skips the
-transition phase where no one is exposed or infectious, and formats
-event lines directly. Each must agree exactly (``==``, never ``approx``)
-with the reference it replaces, draw for draw, or stored outputs would
-change.
+The kernel scatters exposure from the infectious sources (and
+``exposure_probability`` reads one person's probability from that
+scatter), draws random indices through ``rng.randbelow`` (the random
+policy's action among them, as an index into ``available_actions``, and
+a mover's tile), skips the transition phase where no one is exposed or
+infectious, and formats event lines directly. Each must agree exactly
+(``==``, never ``approx``) with the reference it replaces, draw for
+draw, or stored outputs would change.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ from gridepi.planner import _random_action, available_actions
 from gridepi.rng import randbelow
 from gridepi.scenario import EpiParams, PlannerSettings, parse_scenario, validate
 
-from helpers import movement_reference, random_scenario
+from helpers import gather_exposure_probability, movement_reference, random_scenario
 
 # ---------------------------------------------------------------------------
-# Exposure: scattered miss products == exposure_probability
+# Exposure: scattered miss products == the per-target gather
 # ---------------------------------------------------------------------------
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -77,9 +78,9 @@ def _assert_scatter_matches(state, params, reach):
     misses = exposure_misses(sources, state, params, reach)
     for person in state.persons:
         if person.compartment is Compartment.S:
-            assert 1.0 - misses.get(person.id, 1.0) == exposure_probability(
-                person, state, params
-            )
+            expected = gather_exposure_probability(person, state, params)
+            assert 1.0 - misses.get(person.id, 1.0) == expected
+            assert exposure_probability(person, state, params) == expected
         else:
             assert person.id not in misses
 

@@ -5,9 +5,11 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from gridepi import dynamics
 from gridepi.dynamics import census, init_state, step
 from gridepi.oracle import (
     CompartmentVector,
@@ -19,7 +21,7 @@ from gridepi.oracle import (
 )
 from gridepi.planner import NOOP
 from gridepi.rng import substream
-from gridepi.scenario import EpiParams, parse_scenario, validate
+from gridepi.scenario import EpiParams, load_scenario, parse_scenario, validate
 
 V0 = CompartmentVector.from_counts(99.0, 0.0, 1.0, 0.0, 0.0)
 
@@ -233,6 +235,26 @@ def test_enumerate_zero_horizon_is_point_mass():
     v = _validated(MICRO)
     dist = enumerate_exact(v, 0)
     assert dist.probabilities == {(1, 0, 1, 0, 0): 1.0}
+
+
+def test_enumerate_reads_the_kernels_exposure_formula(monkeypatch):
+    # The enumeration must check the formula the sampler runs, not a copy
+    # of it: every exposure probability it reads goes through the
+    # kernel's scatter, and the distribution stays the stored one.
+    golden = Path(__file__).resolve().parent / "golden"
+    v = validate(load_scenario(golden / "inputs" / "micro.scn"))
+    scatter = dynamics.exposure_misses
+    calls = []
+
+    def spy(sources, state, params, reach):
+        calls.append(reach)
+        return scatter(sources, state, params, reach)
+
+    monkeypatch.setattr(dynamics, "exposure_misses", spy)
+    dist = enumerate_exact(v, v.planner.horizon)
+    assert calls
+    expected = (golden / "oracle_enumerate" / "stdout.txt").read_text(encoding="utf-8")
+    assert dist.to_json() == expected
 
 
 def test_enumerate_absorbing_population():
