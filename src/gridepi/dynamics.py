@@ -20,12 +20,16 @@ Actions are named tuples ordered by (kind, person id). The legal actions
 of a state are enumerated only by :func:`available_actions`;
 :func:`apply_action_inplace` checks the one action it is given.
 
-Exposure is scattered from the infectious sources: each source visits
-the occupied tiles within the exposure radius and multiplies the miss
-probability of every susceptible person there (:func:`exposure_misses`),
-so exposure costs O(sources * radius^2) per step, not O(N^2). This is
-the one exposure formula: :func:`exposure_probability`, which the exact
-oracle reads, takes one person's probability from it.
+The kernel runs on tile indices ``y * width + x``: each person carries
+its tile next to its coordinates, and the state keeps one occupant per
+tile. Exposure is scattered from the infectious sources: each source
+reads the contact row of its tile (the walkable tiles within the
+exposure radius, by distance; see :class:`~gridepi.scenario.ContactRows`)
+and multiplies the miss probability of every susceptible person it finds
+there (:func:`exposure_misses`), so exposure costs O(sources * radius^2)
+per step, not O(N^2). This is the one exposure formula: the exact oracle
+reads it once per joint state, and :func:`exposure_probability` takes
+one person's probability from it.
 
 All randomness comes from ``random.Random`` streams passed in by the
 caller; the functions themselves hold no hidden state. :func:`step_inplace`
@@ -51,13 +55,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import IntEnum
-from functools import cache
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import attrgetter
-from typing import Any, Callable, Iterable, NamedTuple
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 from .rng import randbelow, substream
-from .scenario import EpiParams, PlannerSettings, ValidatedScenario
+from .scenario import ContactRows, EpiParams, PlannerSettings, ValidatedScenario
 
 __all__ = [
     "Compartment",
@@ -142,7 +145,7 @@ _new_event = tuple.__new__
 
 
 class _TileText(dict):
-    """Tile -> its ``(x,y)`` text, built on first use. Shared by every
+    """(x, y) -> its ``(x,y)`` text, built on first use. Shared by every
     room, since the text depends on the coordinates alone: it holds one
     entry per tile moved from or to."""
 
@@ -175,10 +178,14 @@ def events_to_jsonl(events: list[StepEvent]) -> str:
 
 @dataclass(slots=True)
 class PersonState:
+    """One person. ``tile`` is the index ``y * width + x`` of the tile at
+    (``x``, ``y``); whatever moves a person writes all three."""
+
     id: int
     compartment: Compartment
     x: int
     y: int
+    tile: int
     masked: bool = False
     vaccinated: bool = False
     mask_refuser: bool = False
@@ -194,6 +201,7 @@ class PersonState:
             self.compartment,
             self.x,
             self.y,
+            self.tile,
             self.masked,
             self.vaccinated,
             self.mask_refuser,
@@ -205,19 +213,25 @@ class PersonState:
 class SimState:
     """Full simulation state.
 
-    ``persons`` is indexed by person id. ``occupancy`` maps each occupied
-    tile to the id of the person on it (deceased persons included, since
-    they keep blocking their tile). ``action_costs`` accumulates the
-    (non-positive) cost of every action applied so far. The infection
-    and death totals are counted from the compartments, in O(N), so no
-    hot path reads them.
+    ``persons`` is indexed by person id. ``occupant`` is indexed by tile
+    index and holds the id of the person on the tile, or -1 (deceased
+    persons included, since they keep blocking their tile).
+    ``action_costs`` accumulates the (non-positive) cost of every action
+    applied so far. The occupancy map and the infection and death totals
+    are read-only properties computed in O(N), so no hot path reads them.
     """
 
     step: int
     persons: list[PersonState]
-    occupancy: dict[tuple[int, int], int]
+    occupant: list[int]
     mask_mandate_active: bool = False
     action_costs: float = 0.0
+
+    @property
+    def occupancy(self) -> dict[tuple[int, int], int]:
+        """Each person's (x, y) -> the occupant of its tile, in id order."""
+        occupant = self.occupant
+        return {(p.x, p.y): occupant[p.tile] for p in self.persons}
 
     @property
     def cumulative_infections(self) -> int:
@@ -233,7 +247,7 @@ class SimState:
         return SimState(
             self.step,
             [p.clone() for p in self.persons],
-            dict(self.occupancy),
+            self.occupant[:],
             self.mask_mandate_active,
             self.action_costs,
         )
@@ -248,9 +262,10 @@ def init_state(validated: ValidatedScenario, seed: int) -> SimState:
     from the start and never refusers.
     """
     params = validated.params
+    width = validated.grid.width
     rng = substream(seed, "init")
     persons: list[PersonState] = []
-    occupancy: dict[tuple[int, int], int] = {}
+    occupant = [-1] * len(validated.neighbors)
     for pl in validated.placements:
         mask_refuser = rng.random() < params.mask_noncompliance
         vax_refuser = rng.random() < params.vax_noncompliance
@@ -259,20 +274,22 @@ def init_state(validated: ValidatedScenario, seed: int) -> SimState:
         if vaccinated:
             vax_refuser = False
         x, y = pl.position
+        tile = y * width + x
         persons.append(
             PersonState(
                 pl.person_id,
                 compartment,
                 x,
                 y,
+                tile,
                 False,
                 vaccinated,
                 mask_refuser,
                 vax_refuser,
             )
         )
-        occupancy[pl.position] = pl.person_id
-    return SimState(0, persons, occupancy, False, 0.0)
+        occupant[tile] = pl.person_id
+    return SimState(0, persons, occupant, False, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +301,9 @@ def exposure_probability(target: PersonState, state: SimState, params: EpiParams
     """Probability that a susceptible person of ``state`` is exposed this
     step: one minus its miss product in :func:`exposure_misses`.
 
-    The scan reaches no farther than the farthest infectious person, so
-    a huge exposure radius stays cheap.
+    Each source's contact row holds only the target, at its distance
+    from the source when that is within the exposure radius, so the
+    scatter costs O(sources) at any radius.
 
     Raises:
         ValueError: If ``target`` is not susceptible.
@@ -293,23 +311,20 @@ def exposure_probability(target: PersonState, state: SimState, params: EpiParams
     if target.compartment is not _S:
         raise ValueError("exposure probability is defined for susceptible persons")
     sources = [p for p in state.persons if p.compartment is _I]
-    reach = max((abs(p.x - target.x) + abs(p.y - target.y) for p in sources), default=0)
-    return 1.0 - exposure_misses(sources, state, params, reach).get(target.id, 1.0)
-
-
-@cache
-def _diamond(radius: int) -> tuple[tuple[int, int, int], ...]:
-    """Offsets (dx, dy, d) of the tiles at Manhattan distance d in 1..radius."""
-    return tuple(
-        (dx, dy, abs(dx) + abs(dy))
-        for dx in range(-radius, radius + 1)
-        for dy in range(-radius, radius + 1)
-        if 1 <= abs(dx) + abs(dy) <= radius
-    )
+    radius = params.exposure_radius
+    tx, ty, only_target = target.x, target.y, (target.tile,)
+    rows = {}
+    for src in sources:
+        d = abs(src.x - tx) + abs(src.y - ty)
+        rows[src.tile] = ((d, only_target),) if 1 <= d <= radius else ()
+    return 1.0 - exposure_misses(sources, state, params, rows).get(target.id, 1.0)
 
 
 def exposure_misses(
-    sources: list[PersonState], state: SimState, params: EpiParams, reach: int
+    sources: list[PersonState],
+    state: SimState,
+    params: EpiParams,
+    rows: Mapping[int, tuple[tuple[int, tuple[int, ...]], ...]],
 ) -> dict[int, float]:
     """Per-target miss products of this step's infection attempts: the
     one exposure formula.
@@ -318,41 +333,38 @@ def exposure_misses(
     of a susceptible person makes an independent infection attempt with
     probability beta * (k / distance), scaled down by the source's mask,
     the target's mask and the target's vaccination. ``sources`` are the
-    infectious persons of ``state`` in ascending id; each visits the
-    occupied tiles of its radius diamond and multiplies the miss factor
-    ``1.0 - attempt`` of every susceptible person found there. The tests'
-    per-target gather equals it bit for bit. Susceptible persons with no
-    source in range are absent (their probability is 0.0).
-
-    The radius is clamped to ``reach``, which keeps a huge radius from
-    scanning (2r+1)^2 offsets. The kernel passes width + height - 2, the
-    largest distance between two tiles of the grid, which drops no tile.
+    infectious persons of ``state`` in ascending id; each reads the
+    ``(d, tiles)`` contact row of its tile from ``rows`` (the scenario's
+    :class:`~gridepi.scenario.ContactRows` in the kernel) and multiplies
+    the miss factor ``1.0 - attempt`` of every susceptible person found
+    on those tiles. The tests' per-target gather equals it bit for bit.
+    Susceptible persons with no source in range are absent (their
+    probability is 0.0).
     """
     persons = state.persons
-    occupant = state.occupancy.get
-    offsets = _diamond(min(params.exposure_radius, reach))
+    occupant = state.occupant
     beta_k = params.beta * params.k
     mask_sus_mult = params.mask_sus_mult
     vax_protection = params.vax_protection
     inf_mult = params.mask_inf_mult
     misses: dict[int, float] = {}
     for src in sources:
-        sx, sy = src.x, src.y
         src_masked = src.masked
-        for dx, dy, d in offsets:
-            tid = occupant((sx + dx, sy + dy))
-            if tid is None:
-                continue
-            target = persons[tid]
-            if target.compartment is not _S:
-                continue
-            susceptibility = mask_sus_mult if target.masked else 1.0
-            if target.vaccinated:
-                susceptibility *= vax_protection
-            attempt = (beta_k / d) * susceptibility
-            if src_masked:
-                attempt *= inf_mult
-            misses[tid] = misses.get(tid, 1.0) * (1.0 - attempt)
+        for d, tiles in rows[src.tile]:
+            for tile in tiles:
+                tid = occupant[tile]
+                if tid < 0:
+                    continue
+                target = persons[tid]
+                if target.compartment is not _S:
+                    continue
+                susceptibility = mask_sus_mult if target.masked else 1.0
+                if target.vaccinated:
+                    susceptibility *= vax_protection
+                attempt = (beta_k / d) * susceptibility
+                if src_masked:
+                    attempt *= inf_mult
+                misses[tid] = misses.get(tid, 1.0) * (1.0 - attempt)
     return misses
 
 
@@ -372,12 +384,13 @@ def death_probability_on_exit(person: PersonState, params: EpiParams) -> float:
 
 def _movement_inplace(
     state: SimState,
-    adjacency: dict[tuple[int, int], tuple[tuple[int, int], ...]],
+    neighbors: tuple[tuple[int, ...], ...],
+    width: int,
     p_mv: float,
     rng,
     events: list[StepEvent] | None = None,
 ) -> None:
-    occupancy = state.occupancy
+    occupant = state.occupant
     random = rng.random
     getrandbits = rng.getrandbits
     step_no = state.step
@@ -386,10 +399,10 @@ def _movement_inplace(
             continue
         if random() >= p_mv:
             continue
-        pos = (p.x, p.y)
+        tile = p.tile
         candidates = []
-        for t in adjacency[pos]:
-            if t not in occupancy:
+        for t in neighbors[tile]:
+            if occupant[t] < 0:
                 candidates.append(t)
         n = len(candidates)
         if not n:
@@ -398,18 +411,21 @@ def _movement_inplace(
             target = candidates[0]
         else:
             target = candidates[randbelow(getrandbits, n)]
-        del occupancy[pos]
-        occupancy[target] = p.id
+        occupant[tile] = -1
+        occupant[target] = p.id
+        y, x = divmod(target, width)
         if events is not None:
-            detail = _tile_text[pos] + "->" + _tile_text[target]
+            detail = _tile_text[(p.x, p.y)] + "->" + _tile_text[(x, y)]
             events.append(_new_event(StepEvent, (step_no, MOVED, p.id, detail)))
-        p.x, p.y = target
+        p.x = x
+        p.y = y
+        p.tile = target
 
 
 def _transition_inplace(
     state: SimState,
     params: EpiParams,
-    reach: int,
+    contacts: ContactRows,
     rng,
     events: list[StepEvent] | None = None,
 ) -> tuple[int, int]:
@@ -430,7 +446,7 @@ def _transition_inplace(
             exposed = True
     if not (sources or exposed):
         return 0, 0
-    misses = exposure_misses(sources, state, params, reach) if sources else {}
+    misses = exposure_misses(sources, state, params, contacts) if sources else {}
     sigma = params.sigma
     persistence = params.infected_persistence
     random = rng.random
@@ -640,12 +656,10 @@ def step_inplace(
     """
     config = validated.config
     params = config.params
-    grid = config.grid
-    reach = grid.width + grid.height - 2
     costs = state.action_costs
     apply_action_inplace(state, action, settings, events)
-    _movement_inplace(state, validated.adjacency, params.p_mv, rng, events)
-    infections, deaths = _transition_inplace(state, params, reach, rng, events)
+    _movement_inplace(state, validated.neighbors, config.grid.width, params.p_mv, rng, events)
+    infections, deaths = _transition_inplace(state, params, validated.contacts, rng, events)
     state.step += 1
     return reward(settings, infections, deaths, state.action_costs - costs)
 

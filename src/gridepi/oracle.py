@@ -13,9 +13,9 @@ Two independent routes:
 * Exact outcome enumeration for tiny static scenarios: with movement
   disabled, per-person transitions are independent given the current
   joint compartment assignment, so the full distribution over final
-  censuses can be computed by dynamic programming. :func:`_person_outcomes`
-  reads exposure from :func:`~gridepi.dynamics.exposure_probability`, which
-  takes it from the sampler's own ``exposure_misses``, and death from
+  censuses can be computed by dynamic programming. Each joint state
+  reads its exposure from one call of the sampler's own
+  :func:`~gridepi.dynamics.exposure_misses`, and death from
   :func:`~gridepi.dynamics.death_probability_on_exit`. So the enumeration
   checks the sampler's formulas, not a second copy of them. The
   independent per-target gather lives in ``tests/helpers.py``, and
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from .dynamics import (
     Compartment,
     death_probability_on_exit,
-    exposure_probability,
+    exposure_misses,
     init_state,
 )
 from .scenario import EpiParams, ValidatedScenario
@@ -191,13 +191,13 @@ class OutcomeDistribution:
         return json.dumps(payload, indent=2) + "\n"
 
 
-def _person_outcomes(index, sim, params):
+def _person_outcomes(person, misses, params):
     """Per-person next-compartment distribution given the current joint
-    state; zero-probability branches are dropped."""
-    person = sim.persons[index]
+    state, whose exposure miss products are ``misses``; zero-probability
+    branches are dropped."""
     c = person.compartment
     if c is _S:
-        prob = exposure_probability(person, sim, params)
+        prob = 1.0 - misses.get(person.id, 1.0)
         if prob <= 0.0:
             return ((_S, 1.0),)
         if prob >= 1.0:
@@ -254,20 +254,23 @@ def enumerate_exact(
         raise ValueError("exact enumeration requires p_mv = 0")
 
     params = validated.params
+    contacts = validated.contacts
     # Seed choice is irrelevant: compliance flags only matter under
     # interventions, and the scratch state is only read through the
     # per-person transition formulas.
     scratch = init_state(validated, 0)
-    start = tuple(p.compartment for p in scratch.persons)
-    n = len(start)
+    persons = scratch.persons
+    start = tuple(p.compartment for p in persons)
 
     dist: dict[tuple, float] = {start: 1.0}
     for _ in range(horizon):
         next_dist: dict[tuple, float] = {}
         for key, key_prob in dist.items():
-            for person, compartment in zip(scratch.persons, key):
+            for person, compartment in zip(persons, key):
                 person.compartment = compartment
-            outcome_sets = [_person_outcomes(i, scratch, params) for i in range(n)]
+            sources = [p for p in persons if p.compartment is _I]
+            misses = exposure_misses(sources, scratch, params, contacts)
+            outcome_sets = [_person_outcomes(p, misses, params) for p in persons]
             combos = [((), 1.0)]
             for outcomes in outcome_sets:
                 combos = [

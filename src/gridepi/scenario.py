@@ -44,6 +44,7 @@ __all__ = [
     "PlannerSettings",
     "ScenarioConfig",
     "ValidatedScenario",
+    "ContactRows",
     "ScenarioError",
     "ScenarioParseError",
     "ScenarioValidationError",
@@ -339,16 +340,20 @@ class ScenarioConfig:
 class ValidatedScenario:
     """A checked scenario plus derived lookups used by the simulation.
 
-    ``adjacency`` maps every walkable tile to its walkable 4-neighbors in
-    the fixed left/right/down/up order. ``placements`` is sorted by
-    person id.
+    The lookups index tile (x, y) as ``y * width + x``. ``neighbors[tile]``
+    holds a walkable tile's walkable 4-neighbors in the fixed
+    left/right/down/up order (which fixes the movement draws), and is
+    empty for a wall. ``contacts`` holds each tile's :class:`ContactRows`
+    row for the scenario's exposure radius, built on first use.
+    ``placements`` is sorted by person id.
     """
 
     config: ScenarioConfig
     walkable_count: int
     population: int
     placements: tuple[Placement, ...]
-    adjacency: dict[tuple[int, int], tuple[tuple[int, int], ...]]
+    neighbors: tuple[tuple[int, ...], ...]
+    contacts: ContactRows = field(compare=False, repr=False)
     warnings: tuple[str, ...] = ()
 
     @property
@@ -556,13 +561,69 @@ def serialize_scenario(config: ScenarioConfig) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _walkable_neighbors(grid: GridMap, x: int, y: int) -> tuple[tuple[int, int], ...]:
-    """Walkable 4-neighbors of tile (x, y) in the fixed left/right/down/up order."""
-    return tuple(
-        (x + dx, y + dy)
-        for dx, dy in _DIRECTIONS
-        if grid.in_bounds(x + dx, y + dy) and grid.is_walkable(x + dx, y + dy)
-    )
+def _neighbor_rows(grid: GridMap) -> tuple[tuple[int, ...], ...]:
+    """Per tile, its walkable 4-neighbors as tile indices in the fixed
+    left/right/down/up order; empty for a wall. Every row refers to one
+    int object per tile."""
+    width, height, walkable = grid.width, grid.height, grid.tiles
+    ids = list(range(width * height))
+    rows = []
+    for tile in ids:
+        if not walkable[tile]:
+            rows.append(())
+            continue
+        y, x = divmod(tile, width)
+        rows.append(
+            tuple(
+                ids[(y + dy) * width + x + dx]
+                for dx, dy in _DIRECTIONS
+                if 0 <= x + dx < width
+                and 0 <= y + dy < height
+                and walkable[(y + dy) * width + x + dx]
+            )
+        )
+    return tuple(rows)
+
+
+class ContactRows(dict):
+    """Tile index -> its contact row: ``(d, tiles)`` pairs, one per
+    Manhattan distance d in 1..radius that has a walkable tile, listing
+    the walkable tiles at distance d from it. The d = 1 tiles are the
+    tile's ``neighbors`` row itself.
+
+    The radius is ``exposure_radius`` clamped to width + height - 2, the
+    largest distance between two tiles of the grid. A row is built the
+    first time it is read, that is the first time an infectious person
+    stands on the tile: a full table for a 40x40 room at radius 100
+    would hold 2.56 million entries.
+    """
+
+    def __init__(self, grid: GridMap, neighbors: tuple[tuple[int, ...], ...], radius: int):
+        super().__init__()
+        self.grid = grid
+        self.neighbors = neighbors
+        self.radius = min(radius, grid.width + grid.height - 2)
+
+    def __missing__(self, tile: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        grid = self.grid
+        width, height, walkable = grid.width, grid.height, grid.tiles
+        y, x = divmod(tile, width)
+        near = self.neighbors[tile]
+        row = [(1, near)] if near else []
+        for d in range(2, self.radius + 1):
+            ring = []
+            for dx in range(-d, d + 1):
+                tx = x + dx
+                if not 0 <= tx < width:
+                    continue
+                dy = d - abs(dx)
+                for ty in (y + dy, y - dy) if dy else (y,):
+                    if 0 <= ty < height and walkable[ty * width + tx]:
+                        ring.append(ty * width + tx)
+            if ring:
+                row.append((d, tuple(ring)))
+        row = self[tile] = tuple(row)
+        return row
 
 
 def validate(config: ScenarioConfig) -> ValidatedScenario:
@@ -570,8 +631,8 @@ def validate(config: ScenarioConfig) -> ValidatedScenario:
 
     Returns:
         A :class:`ValidatedScenario` carrying the walkable-tile count,
-        population size, id-sorted placements, the adjacency table, and
-        any non-fatal warnings.
+        population size, id-sorted placements, the neighbor and contact
+        rows, and any non-fatal warnings.
 
     Raises:
         ScenarioValidationError: Listing every violated invariant.
@@ -628,16 +689,15 @@ def validate(config: ScenarioConfig) -> ValidatedScenario:
     if not any(pl.compartment == "I" for pl in config.placements):
         warnings.append("no initially infectious person; nothing will spread")
 
-    adjacency = {
-        pos: _walkable_neighbors(grid, *pos) for pos in grid.walkable_positions()
-    }
+    neighbors = _neighbor_rows(grid)
 
     return ValidatedScenario(
         config=config,
         walkable_count=walkable,
         population=n,
         placements=tuple(sorted(config.placements, key=lambda pl: pl.person_id)),
-        adjacency=adjacency,
+        neighbors=neighbors,
+        contacts=ContactRows(grid, neighbors, config.params.exposure_radius),
         warnings=tuple(warnings),
     )
 

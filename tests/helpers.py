@@ -87,18 +87,34 @@ def random_scenario(rng: random.Random, **kwargs) -> ScenarioConfig:
     return parse_scenario(random_scenario_text(rng, **kwargs))
 
 
-def movement_reference(state, adjacency, p_mv: float, rng) -> list[int]:
-    """The movement phase as first written, with ``rng.randrange``: each
+def tuple_adjacency(grid) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
+    """Walkable (x, y) -> its walkable 4-neighbors as (x, y) tuples in the
+    fixed left/right/down/up order: the table the movement phase ran on
+    before it ran on tile indices."""
+    return {
+        (x, y): tuple(
+            (x + dx, y + dy)
+            for dx, dy in ((-1, 0), (1, 0), (0, 1), (0, -1))
+            if grid.in_bounds(x + dx, y + dy) and grid.is_walkable(x + dx, y + dy)
+        )
+        for x, y in grid.walkable_positions()
+    }
+
+
+def movement_reference(state, occupancy, adjacency, p_mv: float, rng) -> list[int]:
+    """The movement phase as first written, on (x, y) tuples, an
+    ``occupancy`` dict of (x, y) -> person id and ``rng.randrange``: each
     living person in id order moves with probability ``p_mv`` to a
     uniformly drawn free neighbor, and a person with one free neighbor
-    moves there without a draw. Returns each mover's free-neighbor count,
-    so a test can see which cases it covered."""
+    moves there without a draw. Moves the persons' ``x`` and ``y`` (not
+    their ``tile``) and ``occupancy``. Returns each mover's free-neighbor
+    count, so a test can see which cases it covered."""
     counts = []
     for p in state.persons:
         if p.compartment is Compartment.D or rng.random() >= p_mv:
             continue
         pos = (p.x, p.y)
-        candidates = [t for t in adjacency[pos] if t not in state.occupancy]
+        candidates = [t for t in adjacency[pos] if t not in occupancy]
         counts.append(len(candidates))
         if not candidates:
             continue
@@ -106,7 +122,7 @@ def movement_reference(state, adjacency, p_mv: float, rng) -> list[int]:
             target = candidates[0]
         else:
             target = candidates[rng.randrange(len(candidates))]
-        del state.occupancy[pos]
-        state.occupancy[target] = p.id
+        del occupancy[pos]
+        occupancy[target] = p.id
         p.x, p.y = target
     return counts

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,7 @@ from gridepi.dynamics import (
     exposure_probability,
     init_state,
     step,
+    step_inplace,
 )
 from gridepi.planner import NOOP, run_episode
 from gridepi.rng import substream
@@ -273,10 +275,10 @@ def test_huge_exposure_radius_is_clamped_to_the_grid():
 
 
 def test_exposure_probability_scan_is_bounded_by_the_sources():
-    # The probability reads the kernel's scatter, which scans no farther
-    # than the farthest source: a huge radius must give the gather's
+    # The probability reads the kernel's scatter through contact rows
+    # that hold only the target: a huge radius must give the gather's
     # value without scanning (2r+1)^2 offsets per call. The radius stays
-    # moderate so that a scan without the bound fails on time (about
+    # moderate so that a scan of the whole diamond fails on time (about
     # 2 s) instead of exhausting memory.
     v = _validated("[grid]\nSSI\n\n[params]\np_mv=0.0\nexposure_radius=400\n")
     state = init_state(v, 0)
@@ -290,6 +292,29 @@ def test_exposure_probability_scan_is_bounded_by_the_sources():
     assert exposure_probability(state.persons[0], state, v.params) == pytest.approx(
         0.78 / 2
     )
+
+
+def test_large_radius_room_builds_only_the_rows_it_reads():
+    # A legal 40x40 room at radius 100 (clamped to 78): a table of every
+    # tile's contact row holds 2.56 million (tile, d) entries, about
+    # 99 MB under tracemalloc. Validating the room and stepping it once
+    # builds only the rows its two sources stand on, about 0.3 MB.
+    rows = ["." * 40 for _ in range(40)]
+    rows[0] = "I" + "S" * 9 + "." * 29 + "I"
+    rows[20] = "S" * 20 + "." * 20
+    config = parse_scenario(
+        "[grid]\n" + "\n".join(rows) + "\n\n[params]\nexposure_radius=100\n"
+    )
+    tracemalloc.start()
+    try:
+        v = validate(config)
+        state = init_state(v, 0)
+        step_inplace(state, NOOP, v, v.planner, random.Random(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(v.contacts) <= 2
+    assert peak < 2_000_000
 
 
 def test_death_probability_on_exit():

@@ -1,6 +1,7 @@
 """Exact equivalence of the step kernel's fast paths with their references.
 
-The kernel scatters exposure from the infectious sources (and
+The kernel runs on tile indices. It scatters exposure from the
+infectious sources through per-tile contact rows (and
 ``exposure_probability`` reads one person's probability from that
 scatter), draws random indices through ``rng.randbelow`` (the random
 policy's action among them, as an index into ``available_actions``, and
@@ -30,9 +31,70 @@ from gridepi.dynamics import (
 )
 from gridepi.planner import _random_action, available_actions
 from gridepi.rng import randbelow
-from gridepi.scenario import EpiParams, PlannerSettings, parse_scenario, validate
+from gridepi.scenario import (
+    ContactRows,
+    EpiParams,
+    GridMap,
+    PlannerSettings,
+    ScenarioConfig,
+    parse_scenario,
+    validate,
+)
 
-from helpers import gather_exposure_probability, movement_reference, random_scenario
+from helpers import (
+    gather_exposure_probability,
+    movement_reference,
+    random_scenario,
+    tuple_adjacency,
+)
+
+# ---------------------------------------------------------------------------
+# Contact rows == a scan of the radius diamond with bounds and walls
+# ---------------------------------------------------------------------------
+
+
+def _diamond_scan(grid, tile, radius):
+    """Sorted (tile, d) of the walkable tiles at Manhattan distance d in
+    1..radius of ``tile``, by scanning every offset of the square."""
+    y, x = divmod(tile, grid.width)
+    return sorted(
+        ((y + dy) * grid.width + x + dx, abs(dx) + abs(dy))
+        for dx in range(-radius, radius + 1)
+        for dy in range(-radius, radius + 1)
+        if 1 <= abs(dx) + abs(dy) <= radius
+        and grid.in_bounds(x + dx, y + dy)
+        and grid.is_walkable(x + dx, y + dy)
+    )
+
+
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=8),
+    st.data(),
+    st.integers(min_value=1, max_value=6),
+)
+@settings(max_examples=200, deadline=None)
+def test_contact_rows_equal_a_diamond_scan(width, height, data, radius):
+    # Radii up to 6 on grids down to 1x1 reach past the clamp at
+    # width + height - 2.
+    walkable = data.draw(
+        st.lists(st.sampled_from([True, True, False]), min_size=width * height,
+                 max_size=width * height).filter(any)
+    )
+    grid = GridMap(width, height, tuple(walkable))
+    validated = validate(ScenarioConfig(grid=grid, placements=()))
+    rows = ContactRows(grid, validated.neighbors, radius)
+    assert len(rows) == 0
+    tiles = [tile for tile in range(width * height) if walkable[tile]]
+    for tile in tiles:
+        row = rows[tile]
+        assert [d for d, _ in row] == sorted({d for _, d in _diamond_scan(grid, tile, radius)})
+        assert all(ring for _, ring in row)
+        flat = sorted((t, d) for d, ring in row for t in ring)
+        assert flat == _diamond_scan(grid, tile, radius)
+        assert rows[tile] is row
+    assert sorted(rows) == tiles
+
 
 # ---------------------------------------------------------------------------
 # Exposure: scattered miss products == the per-target gather
@@ -68,14 +130,15 @@ def exposure_cases(draw):
         mask_sus_mult=draw(unit),
         mask_inf_mult=draw(unit),
         vax_protection=draw(unit),
-        exposure_radius=draw(st.integers(min_value=1, max_value=3)),
+        exposure_radius=draw(st.integers(min_value=1, max_value=6)),
     )
-    return state, params, width + height - 2
+    return state, params, validated
 
 
-def _assert_scatter_matches(state, params, reach):
+def _assert_scatter_matches(state, params, validated):
     sources = [p for p in state.persons if p.compartment is Compartment.I]
-    misses = exposure_misses(sources, state, params, reach)
+    rows = ContactRows(validated.grid, validated.neighbors, params.exposure_radius)
+    misses = exposure_misses(sources, state, params, rows)
     for person in state.persons:
         if person.compartment is Compartment.S:
             expected = gather_exposure_probability(person, state, params)
@@ -104,7 +167,7 @@ def test_scattered_exposure_many_masked_sources_around_one_target():
     target.vaccinated = True
     for radius in (1, 2, 3):
         params = EpiParams(beta=0.9, k=0.7, exposure_radius=radius)
-        _assert_scatter_matches(state, params, 5 + 5 - 2)
+        _assert_scatter_matches(state, params, validated)
     assert exposure_probability(target, state, params) > 0.0
 
 
@@ -129,21 +192,32 @@ def test_randbelow_draws_exactly_like_randrange():
 
 
 def _check_movement(seed: int, p_mv: float) -> list[int]:
-    """Run the movement phase and its reference on equal copies of a
-    random room; return the movers' free-neighbor counts."""
+    """Run three movement phases and their (x, y) reference on equal
+    copies of a random room, comparing after each; return the movers'
+    free-neighbor counts."""
     rng = random.Random(seed)
     validated = validate(random_scenario(rng))
+    width = validated.grid.width
     state = init_state(validated, seed)
     for person in state.persons:
         if rng.random() < 0.15:
             person.compartment = Compartment.D
     reference = state.clone()
+    occupancy = {(p.x, p.y): p.id for p in reference.persons}
+    adjacency = tuple_adjacency(validated.grid)
     fast_rng, reference_rng = random.Random(seed), random.Random(seed)
-    _movement_inplace(state, validated.adjacency, p_mv, fast_rng)
-    counts = movement_reference(reference, validated.adjacency, p_mv, reference_rng)
-    assert [(p.x, p.y) for p in state.persons] == [(p.x, p.y) for p in reference.persons]
-    assert list(state.occupancy.items()) == list(reference.occupancy.items())
-    assert fast_rng.getstate() == reference_rng.getstate()
+    counts = []
+    for _ in range(3):
+        _movement_inplace(state, validated.neighbors, width, p_mv, fast_rng)
+        counts += movement_reference(reference, occupancy, adjacency, p_mv, reference_rng)
+        assert [(p.x, p.y) for p in state.persons] == [(p.x, p.y) for p in reference.persons]
+        occupant = state.occupant
+        for p in state.persons:
+            assert occupant[p.tile] == p.id
+            assert (p.x, p.y) == (p.tile % width, p.tile // width)
+        assert sum(1 for pid in occupant if pid >= 0) == len(state.persons)
+        assert state.occupancy == occupancy
+        assert fast_rng.getstate() == reference_rng.getstate()
     return counts
 
 
@@ -180,8 +254,7 @@ def test_transition_without_exposed_or_infectious_draws_nothing(seed):
     env = random.Random(seed)
     start = env.getstate()
     events = []
-    reach = validated.grid.width + validated.grid.height - 2
-    assert _transition_inplace(state, validated.params, reach, env, events) == (0, 0)
+    assert _transition_inplace(state, validated.params, validated.contacts, env, events) == (0, 0)
     assert env.getstate() == start
     assert events == [] and state == before
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from collections import Counter
@@ -9,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from gridepi import dynamics
-from gridepi.dynamics import census, init_state, step
+from gridepi import dynamics, oracle
+from gridepi.dynamics import Compartment, census, init_state, step
 from gridepi.oracle import (
     CompartmentVector,
     MODES,
@@ -237,24 +238,74 @@ def test_enumerate_zero_horizon_is_point_mass():
     assert dist.probabilities == {(1, 0, 1, 0, 0): 1.0}
 
 
+def _micro_joint_states(start, horizon):
+    """The joint compartment assignments with positive probability at
+    each step 0..horizon-1 of ``micro.scn`` (S I V in a row, radius 1,
+    default parameters, under which every branch listed here has a
+    probability strictly between 0 and 1)."""
+    S, E, I, R, D = Compartment
+    near = {0: (1,), 1: (0, 2), 2: (1,)}
+    layers = [{start}]
+    for _ in range(horizon - 1):
+        layer = set()
+        for key in layers[-1]:
+            options = []
+            for i, c in enumerate(key):
+                if c is S:
+                    options.append((S, E) if any(key[j] is I for j in near[i]) else (S,))
+                elif c is E:
+                    options.append((S, I))
+                elif c is I:
+                    options.append((I, R, D))
+                else:
+                    options.append((c,))
+            layer.update(itertools.product(*options))
+        layers.append(layer)
+    return layers
+
+
 def test_enumerate_reads_the_kernels_exposure_formula(monkeypatch):
     # The enumeration must check the formula the sampler runs, not a copy
-    # of it: every exposure probability it reads goes through the
-    # kernel's scatter, and the distribution stays the stored one.
+    # of it: it reads every exposure probability from the kernel's
+    # scatter, one scatter per joint state per step, whose misses every
+    # person's outcomes then read, and the distribution stays the stored
+    # one.
     golden = Path(__file__).resolve().parent / "golden"
     v = validate(load_scenario(golden / "inputs" / "micro.scn"))
-    scatter = dynamics.exposure_misses
-    calls = []
+    assert oracle.exposure_misses is dynamics.exposure_misses
+    scatter, outcomes = oracle.exposure_misses, oracle._person_outcomes
+    log = []
 
-    def spy(sources, state, params, reach):
-        calls.append(reach)
-        return scatter(sources, state, params, reach)
+    def spy_scatter(sources, state, params, rows):
+        assert rows is v.contacts
+        misses = scatter(sources, state, params, rows)
+        log.append((tuple(p.compartment for p in state.persons), misses))
+        return misses
 
-    monkeypatch.setattr(dynamics, "exposure_misses", spy)
-    dist = enumerate_exact(v, v.planner.horizon)
-    assert calls
+    def spy_outcomes(person, misses, params):
+        log.append(misses)
+        return outcomes(person, misses, params)
+
+    monkeypatch.setattr(oracle, "exposure_misses", spy_scatter)
+    monkeypatch.setattr(oracle, "_person_outcomes", spy_outcomes)
+    horizon = v.planner.horizon
+    dist = enumerate_exact(v, horizon)
     expected = (golden / "oracle_enumerate" / "stdout.txt").read_text(encoding="utf-8")
     assert dist.to_json() == expected
+
+    n = v.population
+    assert len(log) % (n + 1) == 0
+    keys = []
+    for at in range(0, len(log), n + 1):
+        key, misses = log[at]
+        assert all(read is misses for read in log[at + 1:at + n + 1])
+        keys.append(key)
+    start = tuple(Compartment[pl.compartment] for pl in v.placements)
+    layers = _micro_joint_states(start, horizon)
+    assert len(keys) == sum(len(layer) for layer in layers)
+    for layer in layers:
+        assert set(keys[:len(layer)]) == layer
+        keys = keys[len(layer):]
 
 
 def test_enumerate_absorbing_population():

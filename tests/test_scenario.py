@@ -270,13 +270,15 @@ def test_round_trip_random_grids(text):
 
 
 def test_neighbors_interior_corner_enclosed():
-    adjacency = validate(parse_scenario("[grid]\n....\n.#..\n....\n")).adjacency
-    assert set(adjacency[(1, 0)]) == {(0, 0), (2, 0)}
-    assert set(adjacency[(0, 0)]) == {(1, 0), (0, 1)}
-    assert set(adjacency[(2, 2)]) == {(1, 2), (3, 2), (2, 1)}
-    assert (1, 1) not in adjacency
-    enclosed = validate(parse_scenario("[grid]\n###\n#S#\n###\n")).adjacency
-    assert enclosed == {(1, 1): ()}
+    # Four tiles wide, so tile (x, y) is 4 * y + x; rows list the walkable
+    # neighbors left, right, down, up.
+    neighbors = validate(parse_scenario("[grid]\n....\n.#..\n....\n")).neighbors
+    assert neighbors[1] == (0, 2)
+    assert neighbors[0] == (1, 4)
+    assert neighbors[10] == (9, 11, 6)
+    assert neighbors[5] == ()
+    enclosed = validate(parse_scenario("[grid]\n###\n#S#\n###\n")).neighbors
+    assert enclosed == ((),) * 9
 
 
 def test_neighbors_symmetry():
@@ -286,11 +288,17 @@ def test_neighbors_symmetry():
             "".join(rng.choice("#...") for _ in range(5)) for _ in range(5)
         ]
         grid = parse_scenario("[grid]\n" + "\n".join(rows) + "\n").grid
-        adjacency = validate(ScenarioConfig(grid=grid, placements=())).adjacency
-        assert set(adjacency) == set(grid.walkable_positions())
-        for pos, near in adjacency.items():
+        neighbors = validate(ScenarioConfig(grid=grid, placements=())).neighbors
+        assert len(neighbors) == grid.total_tiles
+        for tile, near in enumerate(neighbors):
+            y, x = divmod(tile, grid.width)
+            if not grid.is_walkable(x, y):
+                assert near == ()
             for other in near:
-                assert pos in adjacency[other]
+                oy, ox = divmod(other, grid.width)
+                assert abs(ox - x) + abs(oy - y) == 1
+                assert grid.is_walkable(ox, oy)
+                assert tile in neighbors[other]
 
 
 def test_density_examples():
@@ -441,8 +449,7 @@ def test_validate_warnings():
 
 def test_validate_adjacency_table():
     v = validate(parse_scenario("[grid]\nS.\n.I\n"))
-    assert set(v.adjacency) == {(0, 0), (1, 0), (0, 1), (1, 1)}
-    assert set(v.adjacency[(0, 0)]) == {(1, 0), (0, 1)}
+    assert v.neighbors == ((1, 2), (0, 3), (3, 0), (2, 1))
 
 
 def test_validate_sorts_placements_by_id():
