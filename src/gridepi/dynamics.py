@@ -43,7 +43,11 @@ change it makes, in the order it makes them: ``masked``,
 each move, then ``exposed``, ``infected``, ``recovered`` or ``died`` for
 each health change. An exposed person reverting to S writes no event.
 :func:`events_to_jsonl` renders the log; it lists each kind's detail.
-Planner steps pass ``None`` and build no event.
+A move's ``(x0,y0)->(x1,y1)`` detail is looked up in one table per grid
+width, keyed by the two tile indices and filled on first use: at most
+one entry per ordered pair of adjacent tiles up to the tallest room of
+that width, 1,520 (about 0.2 MB) for 20x20 rooms. Planner steps pass
+``None`` and build no event and no entry.
 
 Output rows (:class:`TrajectoryRow` here, the harness metrics elsewhere)
 are described by field tables of (column name, attribute, CSV format),
@@ -127,7 +131,8 @@ class StepEvent(NamedTuple):
 
     A named tuple rather than a dataclass, so that the movement phase
     can record tens of thousands of moves at the cost of building tuples
-    (see ``_new_event``). It compares equal to the plain tuple of its
+    (see ``_new_event``) around a detail it looks up rather than formats
+    (see ``_MoveText``). It compares equal to the plain tuple of its
     fields.
     """
 
@@ -139,22 +144,43 @@ class StepEvent(NamedTuple):
 
 # StepEvent(...) runs the named tuple's generated __new__, a Python
 # function; tuple.__new__(StepEvent, fields) builds the same object at the
-# cost of a bare tuple. Only the movement phase, which writes nearly every
-# event of a log, uses it.
+# cost of a bare tuple. The movement phase, which writes nearly every event
+# of a log, uses it, and so does the planner to rebuild the events of a
+# round played in a forked worker.
 _new_event = tuple.__new__
 
 
-class _TileText(dict):
-    """(x, y) -> its ``(x,y)`` text, built on first use. Shared by every
-    room, since the text depends on the coordinates alone: it holds one
-    entry per tile moved from or to."""
+class _MoveText(dict):
+    """``from_tile << 32 | to_tile`` -> the ``moved`` detail
+    ``(x0,y0)->(x1,y1)`` on a grid of this width, built on first use.
 
-    def __missing__(self, tile: tuple[int, int]) -> str:
-        text = self[tile] = f"({tile[0]},{tile[1]})"
+    A tile index reads as coordinates through the width alone, so every
+    room of one width shares a table (see ``_move_texts``). It holds one
+    entry per distinct move made, at most four per tile: 1,520 for 20x20
+    rooms, however many of them are played.
+    """
+
+    def __init__(self, width: int):
+        super().__init__()
+        self.width = width
+
+    def __missing__(self, key: int) -> str:
+        width = self.width
+        y0, x0 = divmod(key >> 32, width)
+        y1, x1 = divmod(key & 0xFFFFFFFF, width)
+        text = self[key] = f"({x0},{y0})->({x1},{y1})"
         return text
 
 
-_tile_text = _TileText()
+class _MoveTexts(dict):
+    """Grid width -> its :class:`_MoveText` table, made on first use."""
+
+    def __missing__(self, width: int) -> _MoveText:
+        table = self[width] = _MoveText(width)
+        return table
+
+
+_move_texts = _MoveTexts()
 
 
 def events_to_jsonl(events: list[StepEvent]) -> str:
@@ -415,7 +441,7 @@ def _movement_inplace(
         occupant[target] = p.id
         y, x = divmod(target, width)
         if events is not None:
-            detail = _tile_text[(p.x, p.y)] + "->" + _tile_text[(x, y)]
+            detail = _move_texts[width][tile << 32 | target]
             events.append(_new_event(StepEvent, (step_no, MOVED, p.id, detail)))
         p.x = x
         p.y = y

@@ -41,6 +41,7 @@ from .dynamics import (
     StepEvent,
     Trajectory,
     TrajectoryRow,
+    _new_event,
     apply_action_inplace,
     available_actions,
     init_state,
@@ -403,7 +404,7 @@ def _unpack_round(data: tuple) -> EpisodeResult:
     return EpisodeResult(
         Trajectory([TrajectoryRow(*row) for row in rows]),
         total,
-        [StepEvent(*event) for event in events],
+        [_new_event(StepEvent, event) for event in events],
         decisions,
         SimState(step, persons, *state),
     )

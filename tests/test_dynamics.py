@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gridepi
-from gridepi import assets
+from gridepi import assets, dynamics
 from gridepi.dynamics import (
     Compartment,
     StepEvent,
@@ -31,7 +32,7 @@ from gridepi.dynamics import (
     step,
     step_inplace,
 )
-from gridepi.planner import NOOP, run_episode
+from gridepi.planner import NOOP, plan_with_stats, run_episode
 from gridepi.rng import substream
 from gridepi.scenario import EpiParams, load_scenario, parse_scenario, validate
 from helpers import gather_exposure_probability, random_scenario
@@ -530,6 +531,56 @@ def test_moved_events_rebuild_positions(path):
         final = episode.final_state
         assert positions == [(p.x, p.y) for p in final.persons]
         assert occupancy == final.occupancy
+
+
+def _walled_room(rng, width, height):
+    """A ``width`` x ``height`` room with random walls and one person."""
+    cells = ["#" if rng.random() < 0.2 else "." for _ in range(width * height)]
+    cells[0] = "S"
+    rows = ["".join(cells[y * width:(y + 1) * width]) for y in range(height)]
+    return validate(parse_scenario("[grid]\n" + "\n".join(rows) + "\n"))
+
+
+def _divmod_text(tile, to_tile, width):
+    y0, x0 = divmod(tile, width)
+    y1, x1 = divmod(to_tile, width)
+    return f"({x0},{y0})->({x1},{y1})"
+
+
+def test_move_text_table_per_width(monkeypatch):
+    """Two rooms of width 12 but different heights and walls share one
+    table, and it holds the divmod text of every move they can make."""
+    tables = dynamics._MoveTexts()
+    monkeypatch.setattr(dynamics, "_move_texts", tables)
+    rng = random.Random(21)
+    for height in (11, 14):
+        v = _walled_room(rng, 12, height)
+        table = tables[12]
+        before = len(table)
+        for tile, row in enumerate(v.neighbors):
+            for to_tile in row:
+                assert table[tile << 32 | to_tile] == _divmod_text(tile, to_tile, 12)
+        assert 0 < len(table) - before <= 4 * v.walkable_count
+    assert list(tables) == [12]
+    assert any(re.search(r"\(1\d,1\d\)", text) for text in tables[12].values())
+
+
+def test_move_text_is_built_only_for_logged_moves(monkeypatch):
+    tables = dynamics._MoveTexts()
+    monkeypatch.setattr(dynamics, "_move_texts", tables)
+    v = validate(load_scenario(assets.asset_path("small_crowded.scn")))
+    state = init_state(v, 3)
+    _, stats = plan_with_stats(state, v, replace(v.planner, uct_iterations=40), substream(3, "plan"))
+    assert stats["root_visits"] == 40
+    run_episode(v, v.planner, "random", 3)
+    assert len(tables) == 0
+    episodes = run_episode(v, v.planner, "random", 3, collect_events=True)
+    table = tables[v.grid.width]
+    moves = {e.detail for episode in episodes for e in episode.events if e.kind == "moved"}
+    assert set(table.values()) == moves
+    pairs = {(tile, to_tile) for tile, row in enumerate(v.neighbors) for to_tile in row}
+    assert {(key >> 32, key & 0xFFFFFFFF) for key in table} <= pairs
+    assert len(table) <= 4 * v.walkable_count
 
 
 # ---------------------------------------------------------------------------
