@@ -20,12 +20,13 @@ Actions are named tuples ordered by (kind, person id). The legal actions
 of a state are enumerated only by :func:`available_actions`;
 :func:`apply_action_inplace` checks the one action it is given.
 
-The kernel runs on tile indices ``y * width + x``: each person carries
-its tile next to its coordinates, and the state keeps one occupant per
-tile. Exposure is scattered from the infectious sources: each source
-reads the contact row of its tile (the walkable tiles within the
-exposure radius, by distance; see :class:`~gridepi.scenario.ContactRows`)
-and multiplies the miss probability of every susceptible person it finds
+The kernel runs on tile indices ``y * width + x``: each person's
+position lives in its tile alone (its coordinates are read from it), so
+a move writes one field, and the state keeps one occupant per tile.
+Exposure is scattered from the infectious sources: each source reads
+the contact row of its tile (the walkable tiles within the exposure
+radius, by distance; see :class:`~gridepi.scenario.ContactRows`) and
+multiplies the miss probability of every susceptible person it finds
 there (:func:`exposure_misses`), so exposure costs O(sources * radius^2)
 per step, not O(N^2). This is the one exposure formula: the exact oracle
 reads it once per joint state, and :func:`exposure_probability` takes
@@ -204,30 +205,39 @@ def events_to_jsonl(events: list[StepEvent]) -> str:
 
 @dataclass(slots=True)
 class PersonState:
-    """One person. ``tile`` is the index ``y * width + x`` of the tile at
-    (``x``, ``y``); whatever moves a person writes all three."""
+    """One person. ``tile`` is the index ``y * width + x`` of the tile the
+    person stands on, and the one copy of its position: ``x``, ``y`` and
+    ``position`` are read from it through the grid ``width``, which
+    :func:`init_state` sets once. A move writes ``tile`` alone."""
 
     id: int
     compartment: Compartment
-    x: int
-    y: int
     tile: int
+    width: int
     masked: bool = False
     vaccinated: bool = False
     mask_refuser: bool = False
     vax_refuser: bool = False
 
     @property
+    def x(self) -> int:
+        return self.tile % self.width
+
+    @property
+    def y(self) -> int:
+        return self.tile // self.width
+
+    @property
     def position(self) -> tuple[int, int]:
-        return (self.x, self.y)
+        y, x = divmod(self.tile, self.width)
+        return (x, y)
 
     def clone(self) -> "PersonState":
         return PersonState(
             self.id,
             self.compartment,
-            self.x,
-            self.y,
             self.tile,
+            self.width,
             self.masked,
             self.vaccinated,
             self.mask_refuser,
@@ -257,7 +267,7 @@ class SimState:
     def occupancy(self) -> dict[tuple[int, int], int]:
         """Each person's (x, y) -> the occupant of its tile, in id order."""
         occupant = self.occupant
-        return {(p.x, p.y): occupant[p.tile] for p in self.persons}
+        return {p.position: occupant[p.tile] for p in self.persons}
 
     @property
     def cumulative_infections(self) -> int:
@@ -305,9 +315,8 @@ def init_state(validated: ValidatedScenario, seed: int) -> SimState:
             PersonState(
                 pl.person_id,
                 compartment,
-                x,
-                y,
                 tile,
+                width,
                 False,
                 vaccinated,
                 mask_refuser,
@@ -338,10 +347,11 @@ def exposure_probability(target: PersonState, state: SimState, params: EpiParams
         raise ValueError("exposure probability is defined for susceptible persons")
     sources = [p for p in state.persons if p.compartment is _I]
     radius = params.exposure_radius
-    tx, ty, only_target = target.x, target.y, (target.tile,)
+    (tx, ty), only_target = target.position, (target.tile,)
     rows = {}
     for src in sources:
-        d = abs(src.x - tx) + abs(src.y - ty)
+        sx, sy = src.position
+        d = abs(sx - tx) + abs(sy - ty)
         rows[src.tile] = ((d, only_target),) if 1 <= d <= radius else ()
     return 1.0 - exposure_misses(sources, state, params, rows).get(target.id, 1.0)
 
@@ -420,6 +430,7 @@ def _movement_inplace(
     random = rng.random
     getrandbits = rng.getrandbits
     step_no = state.step
+    texts = None if events is None else _move_texts[width]
     for p in state.persons:
         if p.compartment is _D:
             continue
@@ -439,13 +450,10 @@ def _movement_inplace(
             target = candidates[randbelow(getrandbits, n)]
         occupant[tile] = -1
         occupant[target] = p.id
-        y, x = divmod(target, width)
-        if events is not None:
-            detail = _move_texts[width][tile << 32 | target]
-            events.append(_new_event(StepEvent, (step_no, MOVED, p.id, detail)))
-        p.x = x
-        p.y = y
         p.tile = target
+        if texts is not None:
+            detail = texts[tile << 32 | target]
+            events.append(_new_event(StepEvent, (step_no, MOVED, p.id, detail)))
 
 
 def _transition_inplace(

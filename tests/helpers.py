@@ -106,9 +106,10 @@ def movement_reference(state, occupancy, adjacency, p_mv: float, rng) -> list[in
     ``occupancy`` dict of (x, y) -> person id and ``rng.randrange``: each
     living person in id order moves with probability ``p_mv`` to a
     uniformly drawn free neighbor, and a person with one free neighbor
-    moves there without a draw. Moves the persons' ``x`` and ``y`` (not
-    their ``tile``) and ``occupancy``. Returns each mover's free-neighbor
-    count, so a test can see which cases it covered."""
+    moves there without a draw. Moves each person by writing its
+    ``tile`` from the drawn (x, y), and updates ``occupancy``. Returns
+    each mover's free-neighbor count, so a test can see which cases it
+    covered."""
     counts = []
     for p in state.persons:
         if p.compartment is Compartment.D or rng.random() >= p_mv:
@@ -124,5 +125,6 @@ def movement_reference(state, occupancy, adjacency, p_mv: float, rng) -> list[in
             target = candidates[rng.randrange(len(candidates))]
         del occupancy[pos]
         occupancy[target] = p.id
-        p.x, p.y = target
+        x, y = target
+        p.tile = y * p.width + x
     return counts

@@ -18,9 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gridepi
-from gridepi import assets, dynamics
+from gridepi import assets, dynamics, fanout
 from gridepi.dynamics import (
     Compartment,
+    PersonState,
     StepEvent,
     TRAJECTORY_HEADER,
     Trajectory,
@@ -178,6 +179,47 @@ def test_dead_person_blocks_tile():
         assert state.persons[1].position == corpse_tile
         assert state.persons[0].position != corpse_tile
     assert len(state.occupancy) == 2
+
+
+def test_position_is_read_from_the_tile(monkeypatch):
+    """A person's position lives in its tile alone: ``x``, ``y`` and
+    ``position`` are read through the width the person carries, so a
+    clone and a round sent back by a forked worker answer them too."""
+    assert {"tile", "width"} <= set(PersonState.__slots__)
+    assert not {"x", "y"} & set(PersonState.__slots__)
+    # 12 x 11 with walls, so both coordinates reach two digits
+    rows = [["#" if (x + 2 * y) % 9 == 4 else "." for x in range(12)] for y in range(11)]
+    for x, y, letter in ((0, 0, "I"), (11, 0, "S"), (10, 9, "S"), (11, 10, "E"), (0, 10, "S")):
+        rows[y][x] = letter
+    grid = "\n".join("".join(row) for row in rows)
+    v = _validated(f"[grid]\n{grid}\n\n[params]\np_mv=1.0\n")
+    state = init_state(v, 3)
+    assert [p.position for p in state.persons] == [pl.position for pl in v.placements]
+    person = state.persons[0]
+    with pytest.raises(AttributeError):
+        person.x = 1
+    for x, y in v.grid.walkable_positions():
+        person.tile = y * 12 + x
+        for p in (person, person.clone()):
+            assert divmod(p.tile, 12) == (y, x)
+            assert (p.x, p.y) == p.position == (x, y)
+            assert p.width == 12
+
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    monkeypatch.setattr(fanout, "FORK_MIN_BUDGET", 0)
+    results = run_episode(v, replace(v.planner, horizon=6, rounds=2), "random", 5)
+    assert len(forks) == 2
+    for result in results:
+        final = result.final_state
+        assert [p.width for p in final.persons] == [12] * 5
+        assert final.occupancy == {p.position: p.id for p in final.persons}
+        assert all(v.grid.is_walkable(p.x, p.y) for p in final.persons)
+    assert [p.position for p in results[0].final_state.persons] != [
+        pl.position for pl in v.placements
+    ]
 
 
 # ---------------------------------------------------------------------------

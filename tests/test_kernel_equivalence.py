@@ -214,7 +214,7 @@ def _check_movement(seed: int, p_mv: float) -> list[int]:
         occupant = state.occupant
         for p in state.persons:
             assert occupant[p.tile] == p.id
-            assert (p.x, p.y) == (p.tile % width, p.tile // width)
+            assert occupancy[p.position] == p.id
         assert sum(1 for pid in occupant if pid >= 0) == len(state.persons)
         assert state.occupancy == occupancy
         assert fast_rng.getstate() == reference_rng.getstate()
