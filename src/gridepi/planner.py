@@ -11,13 +11,15 @@ policy draw an index into it.
 The planner is an open-loop UCT search. Tree nodes sit on action edges;
 environment stochasticity is re-sampled on every descent from the
 planning stream, so node statistics average over outcomes rather than
-conditioning on one sampled successor. Rollouts play uniformly random
-legal actions to the episode horizon, returns are undiscounted sums of
-step rewards, and the recommended action is the root child with the most
-visits (ties broken by fixed action order). At a quiescent root (no
-exposed or infectious person, zero action costs) every return is exactly
-0.0, so the root statistics are replayed from the UCB1 selections alone,
-without simulating or drawing.
+conditioning on one sampled successor. Each iteration steps a copy of
+the root state to the episode horizon in one loop: it descends by UCB1,
+expands one untried action, then rolls out uniformly random legal
+actions. Its return is the undiscounted sum of its step rewards, the
+rollout's summed on their own and added once. The recommended action
+is the root child with the most visits (ties broken by fixed action
+order). At a quiescent root (no exposed or infectious person, zero
+action costs) every return is exactly 0.0, so the root statistics are
+replayed from the UCB1 selections alone, without simulating or drawing.
 
 The ``settings`` handed to :func:`plan_with_stats` and :func:`run_episode`
 govern the run, action costs included, in place of the scenario's own.
@@ -114,21 +116,6 @@ def _random_action(state: SimState, settings: PlannerSettings, getrandbits) -> A
     return actions[randbelow(getrandbits, len(actions))]
 
 
-def _rollout(
-    sim: SimState,
-    validated: ValidatedScenario,
-    settings: PlannerSettings,
-    rng,
-) -> float:
-    total = 0.0
-    getrandbits = rng.getrandbits
-    horizon = settings.horizon
-    while sim.step < horizon:
-        action = _random_action(sim, settings, getrandbits)
-        total += step_inplace(sim, action, validated, settings, rng)
-    return total
-
-
 def _select(node: SearchNode, actions: list[Action], exploration: float) -> Action:
     log_visits = math.log(node.visit_count)
     best_action = actions[0]
@@ -153,32 +140,43 @@ def _search(
     rng,
 ) -> None:
     """Run ``settings.uct_iterations`` UCT iterations from ``state`` into
-    ``root``: descend by UCB1, expand the first untried action, roll out
-    to the horizon and back every return up the path."""
+    ``root`` and back every return up the iteration's path.
+
+    Each iteration steps one clone of ``state`` to the horizon in one
+    loop. While it is in the tree it descends by UCB1, until it expands
+    the first untried action in canonical order; from there it rolls out
+    uniformly random legal actions. The rollout's rewards are summed on
+    their own and added to the tree steps' sum once, after the loop."""
     horizon = settings.horizon
     exploration = settings.uct_exploration
+    getrandbits = rng.getrandbits
     for _ in range(settings.uct_iterations):
         sim = state.clone()
         node = root
         path = [root]
-        total = 0.0
+        total = rollout = 0.0
         while sim.step < horizon:
-            actions = available_actions(sim, settings)
-            children = node.children
-            for action in actions:
-                if action not in children:
-                    break
-            else:  # every action tried: descend by UCB1
-                action = _select(node, actions, exploration)
-                total += step_inplace(sim, action, validated, settings, rng)
-                node = children[action]
-                path.append(node)
-                continue
-            total += step_inplace(sim, action, validated, settings, rng)
-            child = children[action] = SearchNode()
-            path.append(child)
-            total += _rollout(sim, validated, settings, rng)
-            break
+            in_tree = node is not None
+            if in_tree:
+                actions = available_actions(sim, settings)
+                children = node.children
+                for action in actions:
+                    if action not in children:  # expand it, then roll out
+                        children[action] = SearchNode()
+                        node = None
+                        break
+                else:  # every action tried: descend by UCB1
+                    action = _select(node, actions, exploration)
+                    node = children[action]
+                path.append(children[action])
+            else:
+                action = _random_action(sim, settings, getrandbits)
+            gained = step_inplace(sim, action, validated, settings, rng)
+            if in_tree:
+                total += gained
+            else:
+                rollout += gained
+        total += rollout
         for visited in path:
             visited.visit_count += 1
             visited.total_return += total

@@ -18,6 +18,7 @@ from gridepi.planner import (
     ActionKind,
     IllegalActionError,
     SearchNode,
+    _quiescent,
     _recommend,
     _search,
     apply_action_inplace,
@@ -581,6 +582,38 @@ def test_plan_searches_a_root_with_an_exposed_person():
     stats, drew = _searched(state, v, replace(v.planner, uct_iterations=64))
     assert drew
     assert stats["root_visits"] == 64
+
+
+@pytest.mark.parametrize("name", sorted(_BUNDLED_ROOMS))
+def test_search_steps_every_iteration_to_the_horizon(name, monkeypatch):
+    # perfbench's plan_rooms counts uct_iterations * (horizon - t) simulated
+    # steps per searched root; a search that skips steps must change this
+    v = _BUNDLED_ROOMS[name]
+    settings = replace(v.planner, uct_iterations=24)
+    steps = []
+
+    def counting_step(state, *args):
+        steps.append(state.step)
+        return step_inplace(state, *args)
+
+    monkeypatch.setattr("gridepi.planner.step_inplace", counting_step)
+    for t in (0, settings.horizon // 2, settings.horizon - 1):
+        state = init_state(v, t)
+        state.step = t
+        assert not _quiescent(state, settings)
+        assert len(available_actions(state, settings)) > 1
+        steps.clear()
+        _, stats = plan_with_stats(state, v, settings, substream(t, "plan"))
+        assert stats["root_visits"] == 24
+        assert sorted(steps) == sorted([*range(t, settings.horizon)] * 24)
+    for p in state.persons:
+        if p.compartment in _SPREADING:
+            p.compartment = Compartment.R
+    assert _quiescent(state, settings)
+    steps.clear()
+    _, stats = plan_with_stats(state, v, settings, substream(0, "plan"))
+    assert stats["root_visits"] == 24
+    assert steps == []
 
 
 def test_plan_invariant_under_joint_reward_scaling():
