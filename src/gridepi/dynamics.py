@@ -253,8 +253,10 @@ class SimState:
     index and holds the id of the person on the tile, or -1 (deceased
     persons included, since they keep blocking their tile).
     ``action_costs`` accumulates the (non-positive) cost of every action
-    applied so far. The occupancy map and the infection and death totals
-    are read-only properties computed in O(N), so no hot path reads them.
+    applied so far. The occupancy map is a read-only property computed in
+    O(N), so no hot path reads it. No infection or death total is kept:
+    :func:`census` counts the compartments, and :func:`step_inplace`
+    returns each step's reward.
     """
 
     step: int
@@ -268,16 +270,6 @@ class SimState:
         """Each person's (x, y) -> the occupant of its tile, in id order."""
         occupant = self.occupant
         return {p.position: occupant[p.tile] for p in self.persons}
-
-    @property
-    def cumulative_infections(self) -> int:
-        """Persons ever infectious: I + R + D."""
-        return sum(1 for p in self.persons if p.compartment >= _I)
-
-    @property
-    def cumulative_deaths(self) -> int:
-        """Deceased persons: D."""
-        return sum(1 for p in self.persons if p.compartment is _D)
 
     def clone(self) -> "SimState":
         return SimState(
@@ -772,8 +764,8 @@ def rows_to_json(key: str, fields: FieldTable, rows: Iterable) -> str:
 
 @dataclass(frozen=True)
 class TrajectoryRow:
-    """One step's census. The cumulative totals are read from it, as
-    :class:`SimState` reads them from the compartments."""
+    """One step's census. The cumulative totals, the ``cum_infections``
+    and ``cum_deaths`` output columns, are read-only properties of it."""
 
     step: int
     s: int

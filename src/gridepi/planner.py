@@ -63,7 +63,6 @@ __all__ = [
     "IllegalActionError",
     "available_actions",
     "apply_action_inplace",
-    "step_reward",
     "SearchNode",
     "plan",
     "plan_with_stats",
@@ -73,22 +72,6 @@ __all__ = [
 ]
 
 POLICIES = ("planner", "noop", "random")
-
-
-# ---------------------------------------------------------------------------
-# Reward
-# ---------------------------------------------------------------------------
-
-
-def step_reward(before: SimState, after: SimState, settings: PlannerSettings) -> float:
-    """Reward earned by the step from ``before`` to ``after``, counted
-    from the compartments; equal to what :func:`step_inplace` returns."""
-    return reward(
-        settings,
-        after.cumulative_infections - before.cumulative_infections,
-        after.cumulative_deaths - before.cumulative_deaths,
-        after.action_costs - before.action_costs,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +225,8 @@ def plan_with_stats(
 
     The stats dict has ``root_visits`` and ``per_action``, a list of
     ``{action, visits, mean_return}`` entries in canonical action order.
+    A root with nothing to search (zero budget, the horizon reached, or
+    NOOP its one legal action) returns NOOP with empty statistics.
 
     A root with no exposed or infectious person under zero action costs
     is quiescent: no one can be infected or die again, so every return
@@ -250,11 +235,9 @@ def plan_with_stats(
     from ``rng``. In :func:`run_episode` every later root of the round is
     quiescent too, so the stream is not read again there.
     """
-    if settings.uct_iterations <= 0 or state.step >= settings.horizon:
-        return NOOP, {"root_visits": 0, "per_action": []}
     root_actions = available_actions(state, settings)
-    if len(root_actions) == 1:
-        return root_actions[0], {"root_visits": 0, "per_action": []}
+    if settings.uct_iterations <= 0 or state.step >= settings.horizon or len(root_actions) == 1:
+        return NOOP, {"root_visits": 0, "per_action": []}
 
     root = SearchNode()
     if _quiescent(state, settings):

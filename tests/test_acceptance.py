@@ -18,7 +18,7 @@ from scipy import stats
 
 from gridepi import assets
 from gridepi.cli import cli_main
-from gridepi.dynamics import Compartment, census, init_state, step
+from gridepi.dynamics import Compartment, census, init_state, step, step_inplace
 from gridepi.harness import parse_benchmark_file, rooms_for, simulate_school
 from gridepi.oracle import CompartmentVector, enumerate_exact, seird_euler_step, seird_integrate
 from gridepi.planner import (
@@ -27,7 +27,6 @@ from gridepi.planner import (
     available_actions,
     plan,
     run_episode,
-    step_reward,
 )
 from gridepi.rng import substream
 from gridepi.scenario import (
@@ -260,6 +259,7 @@ def test_criterion_07_reward_bookkeeping():
     )
     with criterion(7, description):
         rng = random.Random(777)
+        charged = 0.0
         for _ in range(50):
             v = validate(random_scenario(rng))
             settings = replace(
@@ -270,22 +270,24 @@ def test_criterion_07_reward_bookkeeping():
             )
             seed = rng.randrange(1 << 30)
             state = init_state(v, seed)
-            initial_infections = state.cumulative_infections
+            _, _, i, r, d = census(state)
+            initial_infections = i + r + d
             env = substream(seed, "env")
             chooser = substream(seed, "plan")
             total = 0.0
             for _ in range(settings.horizon):
                 actions = available_actions(state, settings)
                 action = actions[chooser.randrange(len(actions))]
-                nxt, _ = step(state, action, v, env)
-                total += step_reward(state, nxt, settings)
-                state = nxt
+                total += step_inplace(state, action, v, settings, env)
+            _, _, i, r, d = census(state)
             closed_form = (
-                settings.pen_i * (state.cumulative_infections - initial_infections)
-                + settings.pen_d * state.cumulative_deaths
+                settings.pen_i * (i + r + d - initial_infections)
+                + settings.pen_d * d
                 + state.action_costs
             )
             assert total == closed_form, (total, closed_form)
+            charged += state.action_costs
+        assert charged != 0.0, charged
 
 
 def test_criterion_08_ode_oracle():

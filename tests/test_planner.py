@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings as hypothesis_settings
 from hypothesis import strategies as st
 
 from gridepi import assets
-from gridepi.dynamics import Compartment, census, init_state, step, step_inplace
+from gridepi.dynamics import Compartment, census, init_state, reward, step, step_inplace
 from gridepi.planner import (
     MANDATE_MASKS,
     NOOP,
@@ -26,7 +26,6 @@ from gridepi.planner import (
     plan,
     plan_with_stats,
     run_episode,
-    step_reward,
     vaccinate,
 )
 from gridepi.rng import substream
@@ -259,26 +258,24 @@ def test_npi_flags_survive_steps():
 # ---------------------------------------------------------------------------
 
 
-def test_step_reward_counts_new_harm():
-    # three susceptible persons become infectious, recovered and deceased:
-    # three new infections, one of them a new death
+@pytest.mark.parametrize("mu, expected", [(1.0, -6.0), (0.0, -1.0)])
+def test_step_inplace_counts_new_harm(mu, expected):
+    # the exposed person becomes infectious, a new infection; the
+    # infectious person leaves I and dies with probability mu
     settings = PlannerSettings()
-    v = _validated("[grid]\nSSSI\n\n[params]\np_mv=0.0\nbeta=0.0\n")
-    before = init_state(v, 0)
-    after = before.clone()
-    for person, compartment in zip(after.persons, (Compartment.I, Compartment.R, Compartment.D)):
-        assert person.compartment is Compartment.S
-        person.compartment = compartment
-    assert (after.cumulative_infections, after.cumulative_deaths) == (4, 1)
-    assert step_reward(before, after, settings) == pytest.approx(-8.0)
+    v = _validated(
+        "[grid]\nEI\n\n[params]\nsigma=1.0\ninfected_persistence=0.0\n"
+        f"beta=0.0\np_mv=0.0\nmu={mu}\n"
+    )
+    state = init_state(v, 0)
+    assert step_inplace(state, NOOP, v, settings, substream(0, "env")) == expected
 
 
-def test_step_reward_noop_is_zero():
+def test_step_inplace_noop_reward_is_zero():
     settings = PlannerSettings()
     v = _validated("[grid]\nS.R\n\n[params]\np_mv=0.0\n")
     state = init_state(v, 0)
-    after, _ = step(state, NOOP, v, substream(0, "env"))
-    assert step_reward(state, after, settings) == 0.0
+    assert step_inplace(state, NOOP, v, settings, substream(0, "env")) == 0.0
 
 
 def test_episode_reward_identity():
@@ -290,15 +287,14 @@ def test_episode_reward_identity():
         (result,) = run_episode(v, settings, "planner", seed)
         final = result.final_state
         _, _, i, r, d = census(final)
-        assert final.cumulative_infections == i + r + d
         initial_infections = sum(
             1
             for p in init_state(v, seed).persons
             if p.compartment in (Compartment.I, Compartment.R)
         )
         expected = (
-            settings.pen_i * (final.cumulative_infections - initial_infections)
-            + settings.pen_d * final.cumulative_deaths
+            settings.pen_i * (i + r + d - initial_infections)
+            + settings.pen_d * d
             + final.action_costs
         )
         assert result.reward == expected
@@ -309,11 +305,11 @@ HANDED_COSTS = {"cost_mask_action": -0.25, "cost_vax_action": -0.125}
 
 
 def _closed_form(settings, start, final):
-    return (
-        settings.pen_i * (final.cumulative_infections - start.cumulative_infections)
-        + settings.pen_d * (final.cumulative_deaths - start.cumulative_deaths)
-        + final.action_costs
-    )
+    """The census-based reference for the reward from ``start`` to ``final``."""
+    _, _, i0, r0, d0 = census(start)
+    _, _, i1, r1, d1 = census(final)
+    infections = (i1 + r1 + d1) - (i0 + r0 + d0)
+    return reward(settings, infections, d1 - d0, final.action_costs - start.action_costs)
 
 
 @pytest.mark.parametrize("policy", ["random", "planner"])
@@ -347,7 +343,7 @@ def test_round_r_is_a_one_round_episode_at_seed_plus_r(policy):
 def test_step_inplace_charges_the_handed_costs():
     # small_space with its last legal action, a costly one whenever one is
     # legal; then the random rooms and random legal actions of acceptance
-    # criterion 07, which steps them under the rooms' own zero costs
+    # criterion 07, here checked step by step against the census
     small = _small_space()
     runs = [(small, replace(small.planner, **HANDED_COSTS), 5, lambda actions: actions[-1])]
     rng = random.Random(777)
@@ -379,7 +375,7 @@ def test_step_inplace_charges_the_handed_costs():
             action = choose(available_actions(state, settings))
             before = state.clone()
             returned = step_inplace(state, action, v, settings, env)
-            assert returned == step_reward(before, state, settings)
+            assert returned == _closed_form(settings, before, state)
             summed += returned
             charged += cost[action.kind]
         assert state.action_costs == charged
@@ -389,18 +385,47 @@ def test_step_inplace_charges_the_handed_costs():
     assert any(costs < 0 for costs in accrued[1:])
 
 
+def test_step_charges_the_room_costs_and_step_inplace_the_handed_ones():
+    # step() runs under the room's own [planner] section; step_inplace
+    # under the settings it is handed. No one can be infected or die, so
+    # each step's reward is its cost.
+    v = _validated("[grid]\nSR\n\n[planner]\ncost_mask_action=-0.5\n")
+    state = init_state(v, 0)
+    after, _ = step(state, MANDATE_MASKS, v, substream(0, "env"))
+    assert after.action_costs == -0.5
+    handed = replace(v.planner, cost_mask_action=-0.25)
+    clone = state.clone()
+    assert step_inplace(clone, MANDATE_MASKS, v, handed, substream(0, "env")) == -0.25
+    assert clone.action_costs == -0.25
+
+
 # ---------------------------------------------------------------------------
 # UCT search
 # ---------------------------------------------------------------------------
 
 
-def test_plan_zero_budget_returns_noop():
+def _at_horizon(v, state):
+    state.step = v.planner.horizon
+    return v.planner
+
+
+@pytest.mark.parametrize(
+    "root",
+    [
+        lambda v, state: replace(v.planner, uct_iterations=0),
+        _at_horizon,
+        lambda v, state: replace(v.planner, masks_available=False, vaccines_available=False),
+    ],
+    ids=["zero_budget", "at_horizon", "single_action"],
+)
+def test_plan_returns_noop_at_a_root_with_nothing_to_search(root):
     v = _small_space()
     state = init_state(v, 0)
-    settings = replace(v.planner, uct_iterations=0)
-    action, stats = plan_with_stats(state, v, settings, substream(0, "plan"))
-    assert action == NOOP
-    assert stats == {"root_visits": 0, "per_action": []}
+    settings = root(v, state)
+    rng = substream(0, "plan")
+    before = rng.getstate()
+    assert plan_with_stats(state, v, settings, rng) == (NOOP, {"root_visits": 0, "per_action": []})
+    assert rng.getstate() == before
 
 
 @pytest.mark.parametrize(
@@ -423,25 +448,6 @@ def test_invalid_settings_are_rejected(patch, error):
     with pytest.raises(ScenarioValidationError) as info:
         PlannerSettings(**patch)
     assert info.value.errors == [error]
-
-
-def test_plan_at_horizon_returns_noop():
-    v = _small_space()
-    state = init_state(v, 0)
-    state.step = v.planner.horizon
-    assert plan(state, v, v.planner, substream(0, "plan")) == NOOP
-
-
-def test_plan_single_action_short_circuits():
-    v = _small_space()
-    state = init_state(v, 0)
-    settings = replace(v.planner, masks_available=False, vaccines_available=False)
-    rng = substream(0, "plan")
-    before = rng.getstate()
-    action, stats = plan_with_stats(state, v, settings, rng)
-    assert action == NOOP
-    assert stats["root_visits"] == 0
-    assert rng.getstate() == before
 
 
 def test_plan_does_not_mutate_state():
