@@ -208,13 +208,14 @@ class PersonState:
     """One person. ``tile`` is the index ``y * width + x`` of the tile the
     person stands on, and the one copy of its position: ``x``, ``y`` and
     ``position`` are read from it through the grid ``width``, which
-    :func:`init_state` sets once. A move writes ``tile`` alone."""
+    :func:`init_state` sets once. A move writes ``tile`` alone. A living
+    person is masked exactly while the state's mask mandate is active
+    and ``mask_refuser`` is false."""
 
     id: int
     compartment: Compartment
     tile: int
     width: int
-    masked: bool = False
     vaccinated: bool = False
     mask_refuser: bool = False
     vax_refuser: bool = False
@@ -238,7 +239,6 @@ class PersonState:
             self.compartment,
             self.tile,
             self.width,
-            self.masked,
             self.vaccinated,
             self.mask_refuser,
             self.vax_refuser,
@@ -309,7 +309,6 @@ def init_state(validated: ValidatedScenario, seed: int) -> SimState:
                 compartment,
                 tile,
                 width,
-                False,
                 vaccinated,
                 mask_refuser,
                 vax_refuser,
@@ -360,7 +359,8 @@ def exposure_misses(
     Each infectious person within Manhattan distance 1..exposure_radius
     of a susceptible person makes an independent infection attempt with
     probability beta * (k / distance), scaled down by the source's mask,
-    the target's mask and the target's vaccination. ``sources`` are the
+    the target's mask (each worn under the mandate unless a refuser)
+    and the target's vaccination. ``sources`` are the
     infectious persons of ``state`` in ascending id; each reads the
     ``(d, tiles)`` contact row of its tile from ``rows`` (the scenario's
     :class:`~gridepi.scenario.ContactRows` in the kernel) and multiplies
@@ -375,9 +375,10 @@ def exposure_misses(
     mask_sus_mult = params.mask_sus_mult
     vax_protection = params.vax_protection
     inf_mult = params.mask_inf_mult
+    mandate = state.mask_mandate_active
     misses: dict[int, float] = {}
     for src in sources:
-        src_masked = src.masked
+        src_masked = mandate and not src.mask_refuser
         for d, tiles in rows[src.tile]:
             for tile in tiles:
                 tid = occupant[tile]
@@ -386,7 +387,7 @@ def exposure_misses(
                 target = persons[tid]
                 if target.compartment is not _S:
                     continue
-                susceptibility = mask_sus_mult if target.masked else 1.0
+                susceptibility = mask_sus_mult if mandate and not target.mask_refuser else 1.0
                 if target.vaccinated:
                     susceptibility *= vax_protection
                 attempt = (beta_k / d) * susceptibility
@@ -600,7 +601,8 @@ def apply_action_inplace(
 ) -> None:
     """Apply an action to ``state``, mutating it. Legality is checked
     before any mutation, so an IllegalActionError leaves the state as it
-    was."""
+    was. A mask mandate sets the state's flag in O(1); only with
+    ``events`` does it visit the living persons to log who complies."""
     kind = action.kind
     if kind is ActionKind.NOOP:
         return
@@ -612,17 +614,13 @@ def apply_action_inplace(
             raise IllegalActionError("mask mandate is already active")
         state.mask_mandate_active = True
         state.action_costs += settings.cost_mask_action
-        for p in state.persons:
-            if p.compartment is _D:
-                continue
-            if p.mask_refuser:
-                if events is not None:
-                    events.append(
-                        StepEvent(step_no, COMPLIANCE_REFUSAL, p.id, "mask_mandate")
-                    )
-            else:
-                p.masked = True
-                if events is not None:
+        if events is not None:
+            for p in state.persons:
+                if p.compartment is _D:
+                    continue
+                if p.mask_refuser:
+                    events.append(StepEvent(step_no, COMPLIANCE_REFUSAL, p.id, "mask_mandate"))
+                else:
                     events.append(StepEvent(step_no, MASKED, p.id))
         return
     # vaccination

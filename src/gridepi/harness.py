@@ -140,8 +140,12 @@ class ExperimentSpec:
         if self.seed is None:  # the run's default seed is used
             del rules["seed"]
         errors = rule_errors(rules, self)
-        if errors or not self.scenario.placements:
-            raise ScenarioValidationError(errors or ["scenario has no persons"])
+        if not isinstance(self.scenario, ScenarioConfig):
+            errors.insert(0, "scenario must be a ScenarioConfig")
+        elif not (errors or self.scenario.placements):
+            errors = ["scenario has no persons"]
+        if errors:
+            raise ScenarioValidationError(errors)
 
 
 @dataclass(frozen=True)
@@ -261,6 +265,15 @@ def _parse_variations(text: str) -> tuple[tuple[bool, bool], ...]:
     return tuple(VARIATIONS[token] for token in tokens)
 
 
+def _is_variations(value: object) -> bool:
+    """Whether ``value`` is what :func:`_parse_variations` returns: a
+    non-empty tuple of :data:`VARIATIONS` flag pairs, which are all four
+    pairs of bools."""
+    return isinstance(value, tuple) and len(value) > 0 and all(
+        isinstance(pair, tuple) and tuple(map(type, pair)) == (bool, bool) for pair in value
+    )
+
+
 def _path_text(text: str) -> str:
     if not text:
         raise ValueError("path is empty")
@@ -273,7 +286,9 @@ def _path_text(text: str) -> str:
 # scenario.PARAM_RULES; the specs check their own fields with them
 EXPERIMENT_RULES: dict[str, tuple] = {
     "scenario": (_path_text, _any, ""),
-    "variations": (_parse_variations, _any, ""),
+    "variations": (
+        _parse_variations, _is_variations, "must be a non-empty tuple of VARIATIONS flag pairs"
+    ),
     "runs": (_parse_int, lambda v: v >= 1, "must be >= 1"),
     "label": (str, _any, ""),
     "seed": (_parse_int, _any, ""),
@@ -286,7 +301,7 @@ _SCHOOL_FIELD_RULES: dict[str, tuple] = {
     "grid_x": (_parse_int, lambda v: v >= 1, "must be >= 1"),
     "grid_y": (_parse_int, lambda v: v >= 1, "must be >= 1"),
     "true_pos_pct": (_parse_float, lambda v: 0.0 <= v <= 100.0, "must be in [0, 100]"),
-    "variations": (_parse_variations, _any, ""),
+    "variations": EXPERIMENT_RULES["variations"],
 }
 SCHOOL_RULES: dict[str, tuple] = {
     **_SCHOOL_FIELD_RULES,

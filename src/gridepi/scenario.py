@@ -145,6 +145,7 @@ def _is_finite_number(v: object) -> bool:
 # converter -> (type predicate, type description): the type a value built
 # in code must have before its range rule applies; a converted value has it
 _VALUE_TYPES: dict = {
+    str: (lambda v: isinstance(v, str), "must be a str"),
     _parse_bool: (lambda v: isinstance(v, bool), "must be a bool"),
     _parse_int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "must be an int"),
     _parse_float: (_is_finite_number, "must be a finite number"),

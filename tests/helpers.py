@@ -56,8 +56,10 @@ def gather_exposure_probability(target, state, params) -> float:
     Each infectious person within Manhattan distance 1..exposure_radius
     contributes an independent infection attempt with probability
     beta * (k / distance), scaled down by the source's mask, the target's
-    mask, and the target's vaccination. The combined probability is one
-    minus the product of the per-source miss probabilities.
+    mask, and the target's vaccination. A person wears a mask while the
+    state's mask mandate is active, unless they are a mask refuser. The
+    combined probability is one minus the product of the per-source miss
+    probabilities.
 
     Raises:
         ValueError: If ``target`` is not susceptible.
@@ -65,7 +67,8 @@ def gather_exposure_probability(target, state, params) -> float:
     if target.compartment is not Compartment.S:
         raise ValueError("exposure probability is defined for susceptible persons")
     radius = params.exposure_radius
-    susceptibility = params.mask_sus_mult if target.masked else 1.0
+    mandate = state.mask_mandate_active
+    susceptibility = params.mask_sus_mult if mandate and not target.mask_refuser else 1.0
     if target.vaccinated:
         susceptibility *= params.vax_protection
     beta_k = params.beta * params.k
@@ -77,7 +80,7 @@ def gather_exposure_probability(target, state, params) -> float:
             d = abs(src.x - tx) + abs(src.y - ty)
             if 1 <= d <= radius:
                 attempt = (beta_k / d) * susceptibility
-                if src.masked:
+                if mandate and not src.mask_refuser:
                     attempt *= inf_mult
                 miss *= 1.0 - attempt
     return 1.0 - miss

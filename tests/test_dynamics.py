@@ -70,9 +70,9 @@ def test_init_census_and_counters():
     assert census(state) == (3, 0, 1, 0, 0)
     assert state.step == 0
     assert len(state.occupancy) == 4
+    assert not state.mask_mandate_active
     for person in state.persons:
         assert state.occupancy[person.position] == person.id
-        assert not person.masked
 
 
 def test_init_initial_recovered_counts_as_infected():
@@ -227,11 +227,13 @@ def test_position_is_read_from_the_tile(monkeypatch):
 
 
 def _two_person_state(source_masked=False, target_masked=False, target_vaccinated=False):
+    # a side is masked under an active mandate unless it refuses
     v = _validated("[grid]\nSI\n\n[params]\np_mv=0.0\n")
     state = init_state(v, 0)
-    state.persons[0].masked = target_masked
+    state.mask_mandate_active = source_masked or target_masked
+    state.persons[0].mask_refuser = not target_masked
     state.persons[0].vaccinated = target_vaccinated
-    state.persons[1].masked = source_masked
+    state.persons[1].mask_refuser = not source_masked
     return state, v.params
 
 

@@ -1,7 +1,9 @@
-"""Every public name a module lists in ``__all__`` exists."""
+"""Every public name a module lists in ``__all__`` exists, and every
+name a module imports is used or listed there."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
 
@@ -22,3 +24,18 @@ def test_all_names_resolve_and_star_import_succeeds(name):
     namespace: dict = {}
     exec(f"from {name} import *", namespace)
     assert set(exported) <= namespace.keys()
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_imported_name_is_used_or_exported(name):
+    module = importlib.import_module(name)
+    with open(module.__file__, encoding="utf-8") as source:
+        tree = ast.parse(source.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used - set(getattr(module, "__all__", []))) == []

@@ -232,13 +232,28 @@ def test_experiment_spec_checks_itself(tmp_path):
     assert info.value.errors == ["runs must be >= 1"]
 
 
+_BAD_VARIATIONS = "variations must be a non-empty tuple of VARIATIONS flag pairs"
+
+
 @pytest.mark.parametrize(
-    "patch, error", [({"runs": 1.5}, "runs must be an int"), ({"seed": "7"}, "seed must be an int")]
+    "patch, error",
+    [
+        ({"runs": 1.5}, "runs must be an int"),
+        ({"seed": "7"}, "seed must be an int"),
+        ({"label": 5}, "label must be a str"),
+        ({"scenario": "small_space.scn"}, "scenario must be a ScenarioConfig"),
+        ({"variations": ("masks",)}, _BAD_VARIATIONS),
+        ({"variations": ("none",)}, _BAD_VARIATIONS),
+        ({"variations": ()}, _BAD_VARIATIONS),
+        ({"variations": [(True, False)]}, _BAD_VARIATIONS),
+        ({"variations": ((1, 0),)}, _BAD_VARIATIONS),
+        ({"variations": ((True, False, True),)}, _BAD_VARIATIONS),
+    ],
 )
 def test_experiment_spec_rejects_wrong_types(tmp_path, patch, error):
     (spec,) = parse_experiment_file(_write_spec(tmp_path))
     with pytest.raises(ScenarioValidationError) as info:
-        ExperimentSpec("x", spec.scenario, **patch)
+        replace(ExperimentSpec("x", spec.scenario), **patch)
     assert info.value.errors == [error]
     assert ExperimentSpec("x", spec.scenario, seed=None).seed is None
 
@@ -386,7 +401,13 @@ def test_school_spec_checks_itself():
 
 @pytest.mark.parametrize(
     "patch, error",
-    [({"enrollment": 10.5}, "enrollment must be an int"), ({"grid_x": 3.0}, "grid_x must be an int")],
+    [
+        ({"enrollment": 10.5}, "enrollment must be an int"),
+        ({"grid_x": 3.0}, "grid_x must be an int"),
+        ({"name": 3}, "name must be a str"),
+        ({"variations": ("none",)}, _BAD_VARIATIONS),
+        ({"variations": ((False, None),)}, _BAD_VARIATIONS),
+    ],
 )
 def test_school_spec_rejects_wrong_types(patch, error):
     with pytest.raises(ScenarioValidationError) as info:

@@ -105,8 +105,9 @@ unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 @st.composite
 def exposure_cases(draw):
-    """A grid with walls and persons of every kind, random mask and
-    vaccination flags, and random exposure parameters."""
+    """A grid with walls and persons of every kind, a random mask
+    mandate, random refuser and vaccination flags, and random exposure
+    parameters."""
     width = draw(st.integers(min_value=1, max_value=7))
     height = draw(st.integers(min_value=1, max_value=7))
     glyphs = draw(
@@ -121,8 +122,9 @@ def exposure_cases(draw):
     rows = ["".join(glyphs[y * width:(y + 1) * width]) for y in range(height)]
     validated = validate(parse_scenario("[grid]\n" + "\n".join(rows) + "\n"))
     state = init_state(validated, 0)
+    state.mask_mandate_active = draw(st.booleans())
     for person in state.persons:
-        person.masked = draw(st.booleans())
+        person.mask_refuser = draw(st.booleans())
         person.vaccinated = draw(st.booleans())
     params = EpiParams(
         beta=draw(unit),
@@ -156,13 +158,15 @@ def test_scattered_exposure_equals_reference(case):
 
 def test_scattered_exposure_many_masked_sources_around_one_target():
     # A masked, vaccinated target amid ten sources at distances 1, 2 and
-    # 4, all masked but the one right below it, with a wall in between.
+    # 4, all masked by the mandate but the one right below it, a refuser,
+    # with a wall in between.
     validated = validate(
         parse_scenario("[grid]\nI.I.I\n.I#I.\nI.S.I\n.III.\n#...#\n")
     )
     state = init_state(validated, 0)
+    state.mask_mandate_active = True
     for person in state.persons:
-        person.masked = person.id != 9
+        person.mask_refuser = person.id == 9
     target = next(p for p in state.persons if p.compartment is Compartment.S)
     target.vaccinated = True
     for radius in (1, 2, 3):

@@ -10,7 +10,15 @@ from hypothesis import assume, given, settings as hypothesis_settings
 from hypothesis import strategies as st
 
 from gridepi import assets
-from gridepi.dynamics import Compartment, census, init_state, reward, step, step_inplace
+from gridepi.dynamics import (
+    Compartment,
+    census,
+    exposure_probability,
+    init_state,
+    reward,
+    step,
+    step_inplace,
+)
 from gridepi.planner import (
     MANDATE_MASKS,
     NOOP,
@@ -45,6 +53,12 @@ def _validated(text: str):
 
 def _small_space():
     return validate(load_scenario(assets.asset_path("small_space.scn")))
+
+
+_BUNDLED_ROOMS = {
+    name: validate(load_scenario(assets.asset_path(name)))
+    for name in ("small_space.scn", "small_crowded.scn", "larger_space.scn", "larger_crowded.scn")
+}
 
 
 def _apply(state, action, settings):
@@ -143,8 +157,11 @@ def test_mandate_masks_compliant_population():
     state = init_state(v, 0)
     after, events = _apply(state, MANDATE_MASKS, v.planner)
     assert after.mask_mandate_active
-    assert all(p.masked for p in after.persons)
-    assert sorted(e.kind for e in events) == ["masked", "masked", "masked"]
+    # the S next to the source and the source both wear masks
+    assert exposure_probability(after.persons[1], after, v.params) == pytest.approx(
+        0.78 * 0.6 * 0.8
+    )
+    assert events == [(0, "masked", 0, ""), (0, "masked", 1, ""), (0, "masked", 2, "")]
 
 
 def test_mandate_masks_refusers():
@@ -152,9 +169,8 @@ def test_mandate_masks_refusers():
     state = init_state(v, 0)
     after, events = _apply(state, MANDATE_MASKS, v.planner)
     assert after.mask_mandate_active
-    assert not any(p.masked for p in after.persons)
-    assert all(e.kind == "compliance_refusal" for e in events)
-    assert all(e.detail == "mask_mandate" for e in events)
+    assert exposure_probability(after.persons[1], after, v.params) == pytest.approx(0.78)
+    assert events == [(0, "compliance_refusal", pid, "mask_mandate") for pid in range(3)]
 
 
 def test_mandate_skips_the_dead():
@@ -165,9 +181,27 @@ def test_mandate_skips_the_dead():
     state = init_state(v, 0)
     state, _ = step(state, NOOP, v, substream(0, "env"))
     assert state.persons[1].compartment is Compartment.D
-    after, _ = _apply(state, MANDATE_MASKS, v.planner)
-    assert after.persons[0].masked
-    assert not after.persons[1].masked
+    after, events = _apply(state, MANDATE_MASKS, v.planner)
+    assert events == [(1, "masked", 0, "")]
+    quiet = state.clone()
+    apply_action_inplace(quiet, MANDATE_MASKS, v.planner)
+    assert quiet == after
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 42])
+@pytest.mark.parametrize("room", sorted(_BUNDLED_ROOMS))
+def test_mandate_changes_the_state_alike_with_and_without_events(room, seed):
+    v = _BUNDLED_ROOMS[room]
+    settings = replace(v.planner, masks_available=True)
+    state = init_state(v, seed)
+    logged, quiet, events = state.clone(), state.clone(), []
+    apply_action_inplace(logged, MANDATE_MASKS, settings, events)
+    apply_action_inplace(quiet, MANDATE_MASKS, settings, None)
+    assert logged == quiet
+    assert len(events) == sum(p.compartment is not Compartment.D for p in state.persons)
+    assert quiet.persons == state.persons
+    assert quiet.mask_mandate_active
+    assert quiet.action_costs == state.action_costs + settings.cost_mask_action
 
 
 def test_mask_compliance_rate_matches_parameter():
@@ -175,8 +209,8 @@ def test_mask_compliance_rate_matches_parameter():
     masked = total = 0
     for seed in range(600):
         state = init_state(v, seed)
-        after, _ = _apply(state, MANDATE_MASKS, v.planner)
-        masked += sum(p.masked for p in after.persons)
+        after, events = _apply(state, MANDATE_MASKS, v.planner)
+        masked += sum(e.kind == "masked" for e in events)
         total += len(after.persons)
     assert masked / total == pytest.approx(0.96, abs=0.01)
 
@@ -242,6 +276,7 @@ def test_double_vaccination_is_illegal():
 def test_npi_flags_survive_steps():
     v = _validated("[grid]\nS.I\n\n[params]\nmask_noncompliance=0.0\nvax_noncompliance=0.0\n")
     state = init_state(v, 0)
+    refusers = [p.mask_refuser for p in state.persons]
     env = substream(0, "env")
     state, _ = step(state, MANDATE_MASKS, v, env)
     state, _ = step(state, vaccinate(0), v, env)
@@ -249,8 +284,7 @@ def test_npi_flags_survive_steps():
         state, _ = step(state, NOOP, v, env)
         assert state.mask_mandate_active
         assert state.persons[0].vaccinated
-        living = [p for p in state.persons if p.compartment is not Compartment.D]
-        assert all(p.masked for p in living)
+        assert [p.mask_refuser for p in state.persons] == refusers
 
 
 # ---------------------------------------------------------------------------
@@ -493,10 +527,6 @@ def test_plan_breaks_visit_ties_by_canonical_order():
     assert [row["visits"] for row in stats["per_action"]] == [1] * 5
 
 
-_BUNDLED_ROOMS = {
-    name: validate(load_scenario(assets.asset_path(name)))
-    for name in ("small_space.scn", "small_crowded.scn", "larger_space.scn", "larger_crowded.scn")
-}
 _SPREADING = (Compartment.E, Compartment.I)
 
 
@@ -511,10 +541,6 @@ def _quiescent_roots(draw):
             p.compartment = draw(st.sampled_from([Compartment.S, Compartment.R, Compartment.D]))
         p.vaccinated = draw(st.booleans())
     state.mask_mandate_active = draw(st.booleans())
-    for p in state.persons:
-        p.masked = (
-            state.mask_mandate_active and not p.mask_refuser and p.compartment is not Compartment.D
-        )
     masks, vaccines = draw(st.sampled_from([(True, False), (False, True), (True, True)]))
     settings = replace(
         v.planner,
