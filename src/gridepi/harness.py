@@ -30,11 +30,11 @@ round) and follow the same rules as in a scenario's ``[planner]``
 section. Every value is checked on its own line before any spec is built.
 
 The spec types check themselves when built (``dataclasses.replace`` too):
-the per-key types and rules, ``per_room <= grid_x * grid_y``, at least
-one classroom and at least one person in an experiment's scenario. A
-school's ``planner`` is a ``PlannerSettings``, which checks itself too.
-So files, the CLI ``--runs`` override and library callers meet one
-check; a reader reports it on the section header line.
+every field fits its annotation (:func:`scenario.type_errors`), then the
+per-key rules, ``per_room <= grid_x * grid_y``, at least one classroom
+and at least one person in an experiment's scenario. So files, the CLI
+``--runs`` override and library callers meet one check; a reader
+reports it on the section header line.
 
 The school is modeled as identical fully walkable classrooms, one
 simulation per room, with rooms = round-half-to-even(enrollment /
@@ -136,13 +136,8 @@ class ExperimentSpec:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        rules = dict(EXPERIMENT_RULES)
-        if self.seed is None:  # the run's default seed is used
-            del rules["seed"]
-        errors = rule_errors(rules, self)
-        if not isinstance(self.scenario, ScenarioConfig):
-            errors.insert(0, "scenario must be a ScenarioConfig")
-        elif not (errors or self.scenario.placements):
+        errors = rule_errors(EXPERIMENT_RULES, self)
+        if not (errors or self.scenario.placements):
             errors = ["scenario has no persons"]
         if errors:
             raise ScenarioValidationError(errors)
@@ -265,15 +260,6 @@ def _parse_variations(text: str) -> tuple[tuple[bool, bool], ...]:
     return tuple(VARIATIONS[token] for token in tokens)
 
 
-def _is_variations(value: object) -> bool:
-    """Whether ``value`` is what :func:`_parse_variations` returns: a
-    non-empty tuple of :data:`VARIATIONS` flag pairs, which are all four
-    pairs of bools."""
-    return isinstance(value, tuple) and len(value) > 0 and all(
-        isinstance(pair, tuple) and tuple(map(type, pair)) == (bool, bool) for pair in value
-    )
-
-
 def _path_text(text: str) -> str:
     if not text:
         raise ValueError("path is empty")
@@ -286,9 +272,7 @@ def _path_text(text: str) -> str:
 # scenario.PARAM_RULES; the specs check their own fields with them
 EXPERIMENT_RULES: dict[str, tuple] = {
     "scenario": (_path_text, _any, ""),
-    "variations": (
-        _parse_variations, _is_variations, "must be a non-empty tuple of VARIATIONS flag pairs"
-    ),
+    "variations": (_parse_variations, bool, "must be a non-empty tuple of VARIATIONS flag pairs"),
     "runs": (_parse_int, lambda v: v >= 1, "must be >= 1"),
     "label": (str, _any, ""),
     "seed": (_parse_int, _any, ""),

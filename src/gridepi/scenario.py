@@ -34,7 +34,10 @@ rejected; omitted keys take the defaults baked into
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import types
+import typing
+from dataclasses import dataclass, field, fields
+from functools import cache
 from pathlib import Path
 
 __all__ = [
@@ -100,8 +103,10 @@ class ScenarioValidationError(ScenarioError):
 
 
 # ---------------------------------------------------------------------------
-# Value parsing and range rules (shared by every parser, validate(),
-# PlannerSettings and the harness specs)
+# Value parsing, field types and range rules (shared by every parser,
+# validate(), PlannerSettings and the harness specs). A field's type is
+# its dataclass annotation; a rule table gives a key's file converter and
+# its range, which applies once every field has its type.
 # ---------------------------------------------------------------------------
 
 
@@ -142,14 +147,63 @@ def _is_finite_number(v: object) -> bool:
         return False
 
 
-# converter -> (type predicate, type description): the type a value built
-# in code must have before its range rule applies; a converted value has it
-_VALUE_TYPES: dict = {
-    str: (lambda v: isinstance(v, str), "must be a str"),
-    _parse_bool: (lambda v: isinstance(v, bool), "must be a bool"),
-    _parse_int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "must be an int"),
-    _parse_float: (_is_finite_number, "must be a finite number"),
+@cache
+def _fits(hint: object) -> typing.Callable[[object], bool]:
+    """The check of a value against annotation ``hint``; see :func:`type_errors`."""
+    args = typing.get_args(hint)
+    if hint is int:
+        return lambda v: isinstance(v, int) and not isinstance(v, bool)
+    if hint is float:
+        return _is_finite_number
+    if typing.get_origin(hint) is types.UnionType:
+        sides = tuple(map(_fits, args))
+        return lambda v: any(fits(v) for fits in sides)
+    if args and args[-1] is Ellipsis:
+        item = _fits(args[0])
+        return lambda v: isinstance(v, tuple) and all(map(item, v))
+    if args:
+        items = tuple(map(_fits, args))
+        return lambda v: (
+            isinstance(v, tuple) and len(v) == len(items) and all(f(x) for f, x in zip(items, v))
+        )
+    return lambda v: isinstance(v, hint)
+
+
+# annotation -> what a value of it must be, where "a"/"an" and its spelling
+# would not say it
+_TYPE_NAMES = {
+    float: "a finite number",
+    tuple[tuple[bool, bool], ...]: "a non-empty tuple of VARIATIONS flag pairs",
 }
+
+
+def _spelling(hint: object) -> str:
+    if hint is Ellipsis:
+        return "..."
+    args = ", ".join(map(_spelling, typing.get_args(hint)))
+    return f"{hint.__name__}[{args}]" if args else hint.__name__
+
+
+@cache
+def _field_types(cls: type) -> tuple:
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, hints[f.name], _fits(hints[f.name])) for f in fields(cls))
+
+
+def type_errors(obj: object, prefix: str = "") -> list[str]:
+    """``<prefix><field> must be <type>`` for each field of the dataclass
+    ``obj`` that does not fit its annotation. An ``int`` is never a
+    ``bool``, a ``float`` is a finite ``int`` or ``float``, a tuple is
+    checked item by item, ``X | None`` takes either side (and is named
+    as X), and any other class is checked with ``isinstance``."""
+    errors = []
+    for name, hint, fits in _field_types(type(obj)):
+        if not fits(getattr(obj, name)):
+            hint = typing.get_args(hint)[0] if typing.get_origin(hint) is types.UnionType else hint
+            spelling = _spelling(hint)
+            article = "an " if spelling[0] in "aeiouAEIOU" else "a "
+            errors.append(f"{prefix}{name} must be {_TYPE_NAMES.get(hint, article + spelling)}")
+    return errors
 
 
 # key -> (converter, range predicate, range description)
@@ -203,20 +257,10 @@ def parse_value(rules: dict[str, tuple], key: str, text: str, lineno: int) -> ob
     return value
 
 
-def type_errors(rules: dict[str, tuple], obj: object, prefix: str = "") -> list[str]:
-    """``<prefix><key> <type description>`` for each ``obj.<key>`` whose
-    rule's converter is in ``_VALUE_TYPES`` and whose type does not fit it."""
-    return [
-        f"{prefix}{key} {_VALUE_TYPES[converter][1]}"
-        for key, (converter, _, _) in rules.items()
-        if converter in _VALUE_TYPES and not _VALUE_TYPES[converter][0](getattr(obj, key))
-    ]
-
-
 def rule_errors(rules: dict[str, tuple], obj: object, prefix: str = "") -> list[str]:
     """The :func:`type_errors` of ``obj`` or, once every type holds,
     ``<prefix><key> <description>`` for each range rule ``obj.<key>`` breaks."""
-    return type_errors(rules, obj, prefix) or [
+    return type_errors(obj, prefix) or [
         f"{prefix}{key} {description}"
         for key, (_, predicate, description) in rules.items()
         if not predicate(getattr(obj, key))
@@ -298,8 +342,7 @@ class PlannerSettings:
     """Intervention availability, reward shape, and search budget.
 
     Built or replaced, it raises ScenarioValidationError listing every
-    field of the wrong type (booleans ``bool``, integers ``int``, floats
-    a finite ``int`` or ``float``; never a ``bool`` for a number) or,
+    field that does not fit its annotation (see :func:`type_errors`) or,
     once the types hold, every broken ``PLANNER_RULES`` entry and a
     ``pen_d`` above ``pen_i``.
     """
@@ -316,11 +359,9 @@ class PlannerSettings:
     uct_exploration: float = 5.0
 
     def __post_init__(self) -> None:
-        errors = type_errors(PLANNER_RULES, self, "planner.")
-        if not errors:
-            errors = rule_errors(PLANNER_RULES, self, "planner.")
-            if self.pen_d > self.pen_i:
-                errors.append("planner.pen_d must be <= pen_i (deaths penalized at least as hard)")
+        errors = rule_errors(PLANNER_RULES, self, "planner.")
+        if not errors and self.pen_d > self.pen_i:
+            errors.append("planner.pen_d must be <= pen_i (deaths penalized at least as hard)")
         if errors:
             raise ScenarioValidationError(errors)
 
@@ -636,9 +677,17 @@ def validate(config: ScenarioConfig) -> ValidatedScenario:
         rows, and any non-fatal warnings.
 
     Raises:
-        ScenarioValidationError: Listing every violated invariant.
+        ScenarioValidationError: Listing every field of the config, its
+            grid or a placement that does not fit its annotation or, once
+            every type holds, every violated invariant.
     """
-    errors: list[str] = []
+    errors = type_errors(config)
+    if not errors:
+        errors = type_errors(config.grid, "grid.")
+        for i, pl in enumerate(config.placements):
+            errors += type_errors(pl, f"placements[{i}].")
+    if errors:
+        raise ScenarioValidationError(errors)
     warnings: list[str] = []
     grid = config.grid
 

@@ -407,6 +407,7 @@ def test_school_spec_checks_itself():
         ({"name": 3}, "name must be a str"),
         ({"variations": ("none",)}, _BAD_VARIATIONS),
         ({"variations": ((False, None),)}, _BAD_VARIATIONS),
+        ({"planner": "p"}, "planner must be a PlannerSettings"),
     ],
 )
 def test_school_spec_rejects_wrong_types(patch, error):

@@ -3,11 +3,14 @@
 Any text given to a reader either parses or fails as a
 ScenarioParseError with a line number (whole-file errors excepted), and
 every spec a reader returns runs end to end or fails as a ScenarioError.
+Every field of every input record built in code fits its annotation or
+fails as a ScenarioValidationError naming the field.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +20,8 @@ from gridepi.harness import (
     EXPERIMENT_RULES,
     SCHOOL_RULES,
     VARIATIONS,
+    ExperimentSpec,
+    SchoolBenchmarkSpec,
     emit_results,
     parse_benchmark_file,
     parse_experiment_file,
@@ -26,9 +31,16 @@ from gridepi.harness import (
 from gridepi.scenario import (
     PARAM_RULES,
     PLANNER_RULES,
+    EpiParams,
+    GridMap,
+    Placement,
+    PlannerSettings,
+    ScenarioConfig,
     ScenarioError,
     ScenarioParseError,
+    ScenarioValidationError,
     parse_scenario,
+    validate,
 )
 
 FUZZ = settings(derandomize=True, deadline=None, max_examples=300)
@@ -326,3 +338,44 @@ def test_parsed_experiments_run_or_fail_as_scenario_errors(study_dir, room, text
             emit_results(run_experiment(small, 3), "csv")
         except ScenarioError:
             pass
+
+
+ROOM = parse_scenario("[grid]\nSI\n")
+
+# record -> builds it with the given fields replaced and checks it
+BUILD_CHECKED = {
+    Placement: lambda **f: validate(
+        replace(ROOM, placements=(replace(ROOM.placements[0], **f), ROOM.placements[1]))
+    ),
+    GridMap: lambda **f: validate(replace(ROOM, grid=replace(ROOM.grid, **f))),
+    EpiParams: lambda **f: validate(replace(ROOM, params=replace(ROOM.params, **f))),
+    PlannerSettings: lambda **f: replace(ROOM.planner, **f),
+    ScenarioConfig: lambda **f: validate(replace(ROOM, **f)),
+    ExperimentSpec: lambda **f: replace(ExperimentSpec("x", ROOM), **f),
+    SchoolBenchmarkSpec: lambda **f: replace(SchoolBenchmarkSpec("s", 8, 8, 3, 3, 10.0), **f),
+}
+PROBES = ("x", None, 1.5, True, (1,), float("nan"))
+# annotation as written -> the probes that fit it; no other probe fits any field
+FITTING_PROBES = {"float": (1.5,), "bool": (True,), "str": ("x",), "int | None": (None,)}
+
+
+@pytest.mark.parametrize(
+    "record, name, annotation, value",
+    [
+        pytest.param(record, f.name, f.type, value, id=f"{record.__name__}.{f.name}={value!r}")
+        for record in BUILD_CHECKED
+        for f in fields(record)
+        for value in PROBES
+    ],
+)
+def test_every_input_field_fits_its_annotation(record, name, annotation, value):
+    type_error = re.compile(rf"\b{name} must be an? ")
+    if value in FITTING_PROBES.get(annotation, ()):
+        try:
+            BUILD_CHECKED[record](**{name: value})
+        except ScenarioValidationError as exc:  # a range or structural error
+            assert not any(map(type_error.search, exc.errors))
+    else:
+        with pytest.raises(ScenarioValidationError) as info:
+            BUILD_CHECKED[record](**{name: value})
+        assert any(map(type_error.search, info.value.errors))
