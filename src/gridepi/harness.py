@@ -24,15 +24,17 @@ section per site::
     true_pos_pct=21.2
     variations=none,masks,masks+vaccines
 
-The optional ``[school]`` keys ``horizon``, ``rounds``, ``uct_iterations``
-and ``uct_exploration`` set the classroom planner budget (default: one
-round) and follow the same rules as in a scenario's ``[planner]``
-section. Every value is checked on its own line before any spec is built.
+A file key is a spec field (:func:`scenario.file_keys`); the optional
+``[school]`` keys ``horizon``, ``rounds``, ``uct_iterations`` and
+``uct_exploration`` are the :class:`PlannerSettings` fields of the
+classroom planner budget (default: one round). Every value is checked on
+its own line before any spec is built.
 
 The spec types check themselves when built (``dataclasses.replace`` too):
 every field fits its annotation (:func:`scenario.type_errors`), then the
-per-key rules, ``per_room <= grid_x * grid_y``, at least one classroom
-and at least one person in an experiment's scenario. So files, the CLI
+range that sits on the field (:func:`scenario.ranged`),
+``per_room <= grid_x * grid_y``, at least one classroom and at least one
+person in an experiment's scenario. So files, the CLI
 ``--runs`` override and library callers meet one check; a reader
 reports it on the section header line.
 
@@ -75,18 +77,16 @@ from .rng import stable_seed
 from .scenario import (
     EpiParams,
     GridMap,
-    PLANNER_RULES,
     Placement,
     PlannerSettings,
     ScenarioConfig,
     ScenarioParseError,
     ScenarioValidationError,
     ValidatedScenario,
-    _any,
-    _parse_float,
-    _parse_int,
     density,
+    file_keys,
     load_scenario,
+    ranged,
     read_values,
     rule_errors,
     split_sections,
@@ -125,18 +125,44 @@ _VARIATION_SUFFIX = {
 }
 
 
+def _parse_variations(text: str) -> tuple[tuple[bool, bool], ...]:
+    tokens = [t.strip() for t in text.split(",") if t.strip()]
+    if not tokens:
+        raise ValueError("variations list is empty")
+    for token in tokens:
+        if token not in VARIATIONS:
+            raise ValueError(
+                f"unknown variation {token!r}; expected one of {sorted(VARIATIONS)}"
+            )
+    return tuple(VARIATIONS[token] for token in tokens)
+
+
+def _path_text(text: str) -> str:
+    if not text:
+        raise ValueError("path is empty")
+    if "\0" in text:
+        raise ValueError("embedded null byte")
+    return text
+
+
+# what a spec's variations must be, beyond their type
+_SOME_VARIATIONS = (bool, "must be a non-empty tuple of VARIATIONS flag pairs")
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One scenario plus the intervention variations to sweep."""
 
     label: str
-    scenario: ScenarioConfig
-    variations: tuple[tuple[bool, bool], ...] = (VARIATIONS["none"],)
-    runs: int = 3
+    scenario: ScenarioConfig = ranged(parse=_path_text)  # a file holds its path
+    variations: tuple[tuple[bool, bool], ...] = ranged(
+        *_SOME_VARIATIONS, default=(VARIATIONS["none"],), parse=_parse_variations
+    )
+    runs: int = ranged(lambda v: v >= 1, "must be >= 1", default=3)
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        errors = rule_errors(EXPERIMENT_RULES, self)
+        errors = rule_errors(self)
         if not (errors or self.scenario.placements):
             errors = ["scenario has no persons"]
         if errors:
@@ -198,16 +224,18 @@ class SchoolBenchmarkSpec:
     """One school modeled as identical classrooms."""
 
     name: str
-    enrollment: int
-    per_room: int
-    grid_x: int
-    grid_y: int
-    true_pos_pct: float
-    variations: tuple[tuple[bool, bool], ...] = (VARIATIONS["none"],)
+    enrollment: int = ranged(lambda v: v >= 1, "must be >= 1")
+    per_room: int = ranged(lambda v: v >= 1, "must be >= 1")
+    grid_x: int = ranged(lambda v: v >= 1, "must be >= 1")
+    grid_y: int = ranged(lambda v: v >= 1, "must be >= 1")
+    true_pos_pct: float = ranged(lambda v: 0.0 <= v <= 100.0, "must be in [0, 100]")
+    variations: tuple[tuple[bool, bool], ...] = ranged(
+        *_SOME_VARIATIONS, default=(VARIATIONS["none"],), parse=_parse_variations
+    )
     planner: PlannerSettings = PlannerSettings(rounds=1)
 
     def __post_init__(self) -> None:
-        errors = rule_errors(_SCHOOL_FIELD_RULES, self)
+        errors = rule_errors(self)
         if not errors and self.per_room > self.grid_x * self.grid_y:
             errors = ["per_room exceeds the classroom tile count"]
         elif not errors and rooms_for(self.enrollment, self.per_room) < 1:
@@ -248,68 +276,19 @@ BENCHMARK_CSV_HEADER = csv_header(BENCHMARK_FIELDS)
 # ---------------------------------------------------------------------------
 
 
-def _parse_variations(text: str) -> tuple[tuple[bool, bool], ...]:
-    tokens = [t.strip() for t in text.split(",") if t.strip()]
-    if not tokens:
-        raise ValueError("variations list is empty")
-    for token in tokens:
-        if token not in VARIATIONS:
-            raise ValueError(
-                f"unknown variation {token!r}; expected one of {sorted(VARIATIONS)}"
-            )
-    return tuple(VARIATIONS[token] for token in tokens)
-
-
-def _path_text(text: str) -> str:
-    if not text:
-        raise ValueError("path is empty")
-    if "\0" in text:
-        raise ValueError("embedded null byte")
-    return text
-
-
-# key -> (converter, range predicate, range description), as in
-# scenario.PARAM_RULES; the specs check their own fields with them
-EXPERIMENT_RULES: dict[str, tuple] = {
-    "scenario": (_path_text, _any, ""),
-    "variations": (_parse_variations, bool, "must be a non-empty tuple of VARIATIONS flag pairs"),
-    "runs": (_parse_int, lambda v: v >= 1, "must be >= 1"),
-    "label": (str, _any, ""),
-    "seed": (_parse_int, _any, ""),
-}
-
-_SCHOOL_FIELD_RULES: dict[str, tuple] = {
-    "name": (str, _any, ""),
-    "enrollment": (_parse_int, lambda v: v >= 1, "must be >= 1"),
-    "per_room": (_parse_int, lambda v: v >= 1, "must be >= 1"),
-    "grid_x": (_parse_int, lambda v: v >= 1, "must be >= 1"),
-    "grid_y": (_parse_int, lambda v: v >= 1, "must be >= 1"),
-    "true_pos_pct": (_parse_float, lambda v: 0.0 <= v <= 100.0, "must be in [0, 100]"),
-    "variations": EXPERIMENT_RULES["variations"],
-}
-SCHOOL_RULES: dict[str, tuple] = {
-    **_SCHOOL_FIELD_RULES,
-    # classroom planner overrides follow the scenario [planner] rules
-    **{
-        key: PLANNER_RULES[key]
-        for key in ("horizon", "rounds", "uct_iterations", "uct_exploration")
-    },
-}
-
-
 def _read_specs(
-    text: str, header: str, rules: dict[str, tuple], required: tuple[str, ...], build
+    text: str, header: str, keys: dict[str, tuple], required: tuple[str, ...], build
 ) -> list:
     """Build one spec per repeated ``[header]`` section of sectioned
-    key=value text (see :func:`scenario.read_values`). Every section's
-    values are read before any ``build(values)`` runs; a missing
-    ``required`` key and the spec's own rule errors, raised by ``build``,
-    are reported on the header line."""
+    key=value text (see :func:`scenario.read_values`), reading ``keys``.
+    Every section's values are read before any ``build(values)`` runs; a
+    missing ``required`` key and the spec's own errors, raised by
+    ``build``, are reported on the header line."""
     sections = []
     for name, lineno, body in split_sections(text):
         if name != header:
             raise ScenarioParseError(f"unknown section [{name}]", lineno)
-        sections.append((lineno, read_values(rules, header, body)))
+        sections.append((lineno, read_values(keys, header, body)))
     if not sections:
         raise ScenarioParseError(f"no [{header}] sections found")
     specs = []
@@ -329,7 +308,7 @@ def parse_experiment_file(path: str | Path) -> list[ExperimentSpec]:
 
     Raises:
         ScenarioParseError: On unknown sections or keys, missing required
-            keys, bad values, or a spec that breaks its own rules.
+            keys, bad values, or a spec that breaks its own checks.
         OSError: If the file or a referenced scenario cannot be read.
     """
     path = Path(path)
@@ -339,25 +318,29 @@ def parse_experiment_file(path: str | Path) -> list[ExperimentSpec]:
         return ExperimentSpec(values.pop("label", scenario.name), scenario, **values)
 
     text = path.read_text(encoding="utf-8-sig")
-    return _read_specs(text, "experiment", EXPERIMENT_RULES, ("scenario",), build)
+    return _read_specs(text, "experiment", file_keys(ExperimentSpec), ("scenario",), build)
 
 
 def parse_benchmark_file(path: str | Path) -> list[SchoolBenchmarkSpec]:
     """Parse a school benchmark file.
 
     Optional keys horizon, rounds, uct_iterations, and uct_exploration
-    override the classroom planner settings under the scenario
-    ``[planner]`` rules; everything else uses the defaults.
+    override the classroom planner settings, read and range-checked as
+    the :class:`PlannerSettings` fields they set; everything else uses
+    the defaults.
     """
+    budget = ("horizon", "rounds", "uct_iterations", "uct_exploration")
+    planner_keys = file_keys(PlannerSettings)
+    keys = {**file_keys(SchoolBenchmarkSpec), **{key: planner_keys[key] for key in budget}}
 
     def build(values: dict) -> SchoolBenchmarkSpec:
-        overrides = {key: values.pop(key) for key in list(values) if key in PLANNER_RULES}
+        overrides = {key: values.pop(key) for key in budget if key in values}
         planner = replace(SchoolBenchmarkSpec.planner, **overrides)
         return SchoolBenchmarkSpec(**values, planner=planner)
 
     text = Path(path).read_text(encoding="utf-8-sig")
     required = ("name", "enrollment", "per_room", "grid_x", "grid_y", "true_pos_pct")
-    return _read_specs(text, "school", SCHOOL_RULES, required, build)
+    return _read_specs(text, "school", keys, required, build)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import types
 import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from functools import cache
 from pathlib import Path
 
@@ -103,10 +103,11 @@ class ScenarioValidationError(ScenarioError):
 
 
 # ---------------------------------------------------------------------------
-# Value parsing, field types and range rules (shared by every parser,
+# Value parsing, field types and ranges (shared by every parser,
 # validate(), PlannerSettings and the harness specs). A field's type is
-# its dataclass annotation; a rule table gives a key's file converter and
-# its range, which applies once every field has its type.
+# its dataclass annotation and its range sits on the field (see
+# :func:`ranged`), which applies once every field has its type. A file
+# key is a field, read with the converter of its annotation.
 # ---------------------------------------------------------------------------
 
 
@@ -130,12 +131,7 @@ def _parse_bool(text: str) -> bool:
     raise ValueError("expected 'true' or 'false'")
 
 
-def _in_unit(v: float) -> bool:
-    return 0.0 <= v <= 1.0
-
-
-def _any(v: object) -> bool:
-    return True
+_UNIT = (lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]")
 
 
 def _is_finite_number(v: object) -> bool:
@@ -177,6 +173,11 @@ _TYPE_NAMES = {
 }
 
 
+def _side(hint: object) -> object:
+    """The X of ``X | None``; any other annotation itself."""
+    return typing.get_args(hint)[0] if typing.get_origin(hint) is types.UnionType else hint
+
+
 def _spelling(hint: object) -> str:
     if hint is Ellipsis:
         return "..."
@@ -186,8 +187,14 @@ def _spelling(hint: object) -> str:
 
 @cache
 def _field_types(cls: type) -> tuple:
+    """``(field, annotation, its type check, range check, range
+    description)`` per field of dataclass ``cls``; an unranged field's
+    range check is None (see :func:`ranged`)."""
     hints = typing.get_type_hints(cls)
-    return tuple((f.name, hints[f.name], _fits(hints[f.name])) for f in fields(cls))
+    return tuple(
+        (f, hints[f.name], _fits(hints[f.name]), *f.metadata.get("range", (None, "")))
+        for f in fields(cls)
+    )
 
 
 def type_errors(obj: object, prefix: str = "") -> list[str]:
@@ -197,73 +204,68 @@ def type_errors(obj: object, prefix: str = "") -> list[str]:
     checked item by item, ``X | None`` takes either side (and is named
     as X), and any other class is checked with ``isinstance``."""
     errors = []
-    for name, hint, fits in _field_types(type(obj)):
-        if not fits(getattr(obj, name)):
-            hint = typing.get_args(hint)[0] if typing.get_origin(hint) is types.UnionType else hint
+    for f, hint, fits, _, _ in _field_types(type(obj)):
+        if not fits(getattr(obj, f.name)):
+            hint = _side(hint)
             spelling = _spelling(hint)
             article = "an " if spelling[0] in "aeiouAEIOU" else "a "
-            errors.append(f"{prefix}{name} must be {_TYPE_NAMES.get(hint, article + spelling)}")
+            errors.append(f"{prefix}{f.name} must be {_TYPE_NAMES.get(hint, article + spelling)}")
     return errors
 
 
-# key -> (converter, range predicate, range description)
-PARAM_RULES: dict[str, tuple] = {
-    "beta": (_parse_float, _in_unit, "must be in [0, 1]"),
-    "sigma": (_parse_float, _in_unit, "must be in [0, 1]"),
-    "gamma": (_parse_float, _in_unit, "must be in [0, 1]"),
-    "mu": (_parse_float, _in_unit, "must be in [0, 1]"),
-    "k": (_parse_float, lambda v: 0.0 < v <= 1.0, "must be in (0, 1]"),
-    "p_mv": (_parse_float, _in_unit, "must be in [0, 1]"),
-    "infected_persistence": (_parse_float, _in_unit, "must be in [0, 1]"),
-    "mask_sus_mult": (_parse_float, _in_unit, "must be in [0, 1]"),
-    "mask_inf_mult": (_parse_float, _in_unit, "must be in [0, 1]"),
-    "mask_noncompliance": (_parse_float, _in_unit, "must be in [0, 1]"),
-    "vax_noncompliance": (_parse_float, _in_unit, "must be in [0, 1]"),
-    "vax_protection": (_parse_float, _in_unit, "must be in [0, 1]"),
-    "exposure_radius": (_parse_int, lambda v: v >= 1, "must be >= 1"),
-}
+def ranged(check=None, says: str = "", *, default=MISSING, parse=None):
+    """A dataclass field whose value must pass ``check``, which ``says``
+    describes, once every field has its type. A file sets it through
+    ``parse``, by default the converter of its annotation."""
+    return field(default=default, metadata={"range": (check, says), "parse": parse})
 
-PLANNER_RULES: dict[str, tuple] = {
-    "masks_available": (_parse_bool, _any, ""),
-    "vaccines_available": (_parse_bool, _any, ""),
-    "pen_i": (_parse_float, lambda v: v < 0.0, "must be negative"),
-    "pen_d": (_parse_float, lambda v: v < 0.0, "must be negative"),
-    "cost_mask_action": (_parse_float, lambda v: v <= 0.0, "must be <= 0"),
-    "cost_vax_action": (_parse_float, lambda v: v <= 0.0, "must be <= 0"),
-    # horizon 0 is allowed as the degenerate no-step episode
-    "horizon": (_parse_int, lambda v: v >= 0, "must be >= 0"),
-    "rounds": (_parse_int, lambda v: v >= 1, "must be >= 1"),
-    "uct_iterations": (_parse_int, lambda v: v >= 0, "must be >= 0"),
-    "uct_exploration": (_parse_float, lambda v: v > 0.0, "must be positive"),
-}
+
+# annotation -> its file converter; ``X | None`` is read as X
+_PARSERS = {int: _parse_int, float: _parse_float, bool: _parse_bool, str: str}
+
+
+@cache
+def file_keys(cls: type) -> dict[str, tuple]:
+    """``key -> (converter, range check, range description)`` for each
+    field of dataclass ``cls`` that a file may set: one with a ``parse``
+    converter or an annotation that has one, in field order."""
+    keys = {}
+    for f, hint, _, check, says in _field_types(cls):
+        converter = f.metadata.get("parse") or _PARSERS.get(_side(hint))
+        if converter:
+            keys[f.name] = (converter, check, says)
+    return keys
+
 
 _SECTION_ORDER = {"grid": 0, "params": 1, "planner": 2}
 
 
-def parse_value(rules: dict[str, tuple], key: str, text: str, lineno: int) -> object:
-    """Convert ``text`` with the rule for ``key`` and check its range.
+def parse_value(keys: dict[str, tuple], key: str, text: str, lineno: int) -> object:
+    """Convert ``text`` as ``keys[key]`` says (see :func:`file_keys`) and
+    check its range.
 
     Raises:
         ScenarioParseError: On line ``lineno`` if the conversion fails or
             the value is out of range.
     """
-    converter, predicate, description = rules[key]
+    converter, predicate, description = keys[key]
     try:
         value = converter(text)
     except ValueError as exc:
         raise ScenarioParseError(f"bad value for {key!r}: {exc}", lineno) from None
-    if not predicate(value):
+    if predicate and not predicate(value):
         raise ScenarioParseError(f"{key} {description}", lineno)
     return value
 
 
-def rule_errors(rules: dict[str, tuple], obj: object, prefix: str = "") -> list[str]:
+def rule_errors(obj: object, prefix: str = "") -> list[str]:
     """The :func:`type_errors` of ``obj`` or, once every type holds,
-    ``<prefix><key> <description>`` for each range rule ``obj.<key>`` breaks."""
+    ``<prefix><field> <description>`` for each field, in field order,
+    whose value breaks its :func:`ranged` check."""
     return type_errors(obj, prefix) or [
-        f"{prefix}{key} {description}"
-        for key, (_, predicate, description) in rules.items()
-        if not predicate(getattr(obj, key))
+        f"{prefix}{f.name} {says}"
+        for f, _, _, check, says in _field_types(type(obj))
+        if check and not check(getattr(obj, f.name))
     ]
 
 
@@ -322,19 +324,19 @@ class EpiParams:
     infection and death probability of a vaccinated person.
     """
 
-    beta: float = 0.78
-    sigma: float = 0.95
-    gamma: float = 0.93
-    mu: float = 0.07
-    k: float = 1.0
-    p_mv: float = 0.5
-    infected_persistence: float = 0.8
-    mask_sus_mult: float = 0.8
-    mask_inf_mult: float = 0.6
-    mask_noncompliance: float = 0.04
-    vax_noncompliance: float = 0.07
-    vax_protection: float = 0.13
-    exposure_radius: int = 1
+    beta: float = ranged(*_UNIT, default=0.78)
+    sigma: float = ranged(*_UNIT, default=0.95)
+    gamma: float = ranged(*_UNIT, default=0.93)
+    mu: float = ranged(*_UNIT, default=0.07)
+    k: float = ranged(lambda v: 0.0 < v <= 1.0, "must be in (0, 1]", default=1.0)
+    p_mv: float = ranged(*_UNIT, default=0.5)
+    infected_persistence: float = ranged(*_UNIT, default=0.8)
+    mask_sus_mult: float = ranged(*_UNIT, default=0.8)
+    mask_inf_mult: float = ranged(*_UNIT, default=0.6)
+    mask_noncompliance: float = ranged(*_UNIT, default=0.04)
+    vax_noncompliance: float = ranged(*_UNIT, default=0.07)
+    vax_protection: float = ranged(*_UNIT, default=0.13)
+    exposure_radius: int = ranged(lambda v: v >= 1, "must be >= 1", default=1)
 
 
 @dataclass(frozen=True)
@@ -343,23 +345,24 @@ class PlannerSettings:
 
     Built or replaced, it raises ScenarioValidationError listing every
     field that does not fit its annotation (see :func:`type_errors`) or,
-    once the types hold, every broken ``PLANNER_RULES`` entry and a
-    ``pen_d`` above ``pen_i``.
+    once the types hold, every field outside its :func:`ranged` range and
+    a ``pen_d`` above ``pen_i``.
     """
 
     masks_available: bool = True
     vaccines_available: bool = True
-    pen_i: float = -1.0
-    pen_d: float = -5.0
-    cost_mask_action: float = 0.0
-    cost_vax_action: float = 0.0
-    horizon: int = 15
-    rounds: int = 5
-    uct_iterations: int = 500
-    uct_exploration: float = 5.0
+    pen_i: float = ranged(lambda v: v < 0.0, "must be negative", default=-1.0)
+    pen_d: float = ranged(lambda v: v < 0.0, "must be negative", default=-5.0)
+    cost_mask_action: float = ranged(lambda v: v <= 0.0, "must be <= 0", default=0.0)
+    cost_vax_action: float = ranged(lambda v: v <= 0.0, "must be <= 0", default=0.0)
+    # horizon 0 is allowed as the degenerate no-step episode
+    horizon: int = ranged(lambda v: v >= 0, "must be >= 0", default=15)
+    rounds: int = ranged(lambda v: v >= 1, "must be >= 1", default=5)
+    uct_iterations: int = ranged(lambda v: v >= 0, "must be >= 0", default=500)
+    uct_exploration: float = ranged(lambda v: v > 0.0, "must be positive", default=5.0)
 
     def __post_init__(self) -> None:
-        errors = rule_errors(PLANNER_RULES, self, "planner.")
+        errors = rule_errors(self, "planner.")
         if not errors and self.pen_d > self.pen_i:
             errors.append("planner.pen_d must be <= pen_i (deaths penalized at least as hard)")
         if errors:
@@ -439,7 +442,7 @@ def split_sections(text: str) -> list[tuple[str, int, list[tuple[int, str]]]]:
 
 
 def read_values(
-    rules: dict[str, tuple], section: str, body: list[tuple[int, str]]
+    keys: dict[str, tuple], section: str, body: list[tuple[int, str]]
 ) -> dict[str, object]:
     """The ``key=value`` lines of a section body, each converted and
     range-checked on its own line by :func:`parse_value`. Blank lines are
@@ -453,11 +456,11 @@ def read_values(
             raise ScenarioParseError("expected key=value", lineno)
         key, _, value_text = content.partition("=")
         key = key.strip()
-        if key not in rules:
+        if key not in keys:
             raise ScenarioParseError(f"unknown key {key!r} in [{section}]", lineno)
         if key in values:
             raise ScenarioParseError(f"duplicate key {key!r} in [{section}]", lineno)
-        values[key] = parse_value(rules, key, value_text.strip(), lineno)
+        values[key] = parse_value(keys, key, value_text.strip(), lineno)
     return values
 
 
@@ -496,8 +499,8 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioConfig:
         header_lines[header] = header_line
         section = header
         if header != "grid":
-            rules = PARAM_RULES if header == "params" else PLANNER_RULES
-            values[header] = read_values(rules, header, body)
+            record = EpiParams if header == "params" else PlannerSettings
+            values[header] = read_values(file_keys(record), header, body)
             continue
         grid_rows: list[str] = []
         grid_done = False
@@ -555,9 +558,6 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
 # Serialization
 # ---------------------------------------------------------------------------
 
-_PARAM_KEY_ORDER = tuple(PARAM_RULES)
-_PLANNER_KEY_ORDER = tuple(PLANNER_RULES)
-
 
 def _format_value(value: object) -> str:
     if isinstance(value, bool):
@@ -587,14 +587,9 @@ def serialize_scenario(config: ScenarioConfig) -> str:
     lines = ["[grid]"]
     for y in range(grid.height):
         lines.append("".join(cells[y * grid.width : (y + 1) * grid.width]))
-    lines.append("")
-    lines.append("[params]")
-    for key in _PARAM_KEY_ORDER:
-        lines.append(f"{key}={_format_value(getattr(config.params, key))}")
-    lines.append("")
-    lines.append("[planner]")
-    for key in _PLANNER_KEY_ORDER:
-        lines.append(f"{key}={_format_value(getattr(config.planner, key))}")
+    for header, record in (("params", config.params), ("planner", config.planner)):
+        lines += ["", f"[{header}]"]
+        lines += [f"{f.name}={_format_value(getattr(record, f.name))}" for f in fields(record)]
     return "\n".join(lines) + "\n"
 
 
@@ -677,10 +672,13 @@ def validate(config: ScenarioConfig) -> ValidatedScenario:
         rows, and any non-fatal warnings.
 
     Raises:
-        ScenarioValidationError: Listing every field of the config, its
-            grid or a placement that does not fit its annotation or, once
-            every type holds, every violated invariant.
+        ScenarioValidationError: If ``config`` is not a ScenarioConfig,
+            else listing every field of the config, its grid or a
+            placement that does not fit its annotation or, once every
+            type holds, every violated invariant.
     """
+    if not isinstance(config, ScenarioConfig):
+        raise ScenarioValidationError(["validate needs a ScenarioConfig"])
     errors = type_errors(config)
     if not errors:
         errors = type_errors(config.grid, "grid.")
@@ -700,7 +698,7 @@ def validate(config: ScenarioConfig) -> ValidatedScenario:
     if tiles_valid and walkable == 0:
         errors.append("grid has no walkable tiles")
 
-    errors += rule_errors(PARAM_RULES, config.params, "params.")
+    errors += rule_errors(config.params, "params.")
 
     n = len(config.placements)
     ids = sorted(pl.person_id for pl in config.placements)

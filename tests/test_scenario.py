@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 
 from gridepi import assets
 from gridepi.scenario import (
-    PARAM_RULES,
-    PLANNER_RULES,
     EpiParams,
     GridMap,
     Placement,
@@ -22,6 +20,7 @@ from gridepi.scenario import (
     ScenarioParseError,
     ScenarioValidationError,
     density,
+    file_keys,
     load_scenario,
     parse_scenario,
     serialize_scenario,
@@ -189,9 +188,9 @@ def test_section_header_may_end_in_a_comment(text, plain):
     assert parse_scenario(text) == parse_scenario(plain)
 
 
-def test_rule_tables_name_every_field():
-    assert set(PARAM_RULES) == {f.name for f in fields(EpiParams)}
-    assert set(PLANNER_RULES) == {f.name for f in fields(PlannerSettings)}
+def test_file_keys_name_every_field():
+    assert list(file_keys(EpiParams)) == [f.name for f in fields(EpiParams)]
+    assert list(file_keys(PlannerSettings)) == [f.name for f in fields(PlannerSettings)]
 
 
 def test_load_skips_leading_byte_order_mark(tmp_path):
@@ -423,6 +422,13 @@ def test_validate_rejects_wrongly_typed_params(patch, error):
     with pytest.raises(ScenarioValidationError) as info:
         validate(config)
     assert info.value.errors == [error]
+
+
+@pytest.mark.parametrize("config", ["x", None, 5])
+def test_validate_rejects_what_is_not_a_config(config):
+    with pytest.raises(ScenarioValidationError) as info:
+        validate(config)
+    assert info.value.errors == ["validate needs a ScenarioConfig"]
 
 
 def test_validate_lists_all_errors():

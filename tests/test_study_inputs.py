@@ -17,8 +17,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridepi.harness import (
-    EXPERIMENT_RULES,
-    SCHOOL_RULES,
     VARIATIONS,
     ExperimentSpec,
     SchoolBenchmarkSpec,
@@ -29,8 +27,6 @@ from gridepi.harness import (
     simulate_school,
 )
 from gridepi.scenario import (
-    PARAM_RULES,
-    PLANNER_RULES,
     EpiParams,
     GridMap,
     Placement,
@@ -39,6 +35,7 @@ from gridepi.scenario import (
     ScenarioError,
     ScenarioParseError,
     ScenarioValidationError,
+    file_keys,
     parse_scenario,
     validate,
 )
@@ -70,6 +67,10 @@ ZERO_CLASSROOMS = (
 )
 RUNS_ZERO = "[experiment]\nscenario = room.scn\nruns = 0\n"
 NUL_PATH = "[experiment]\nscenario = a\0b.scn\n"
+# a [school] section's keys: the spec's fields and the classroom planner overrides
+SCHOOL_KEYS = [
+    *file_keys(SchoolBenchmarkSpec), "horizon", "rounds", "uct_iterations", "uct_exploration"
+]
 PEN_D_ABOVE_PEN_I = "[grid]\nSI\n\n[planner]\npen_i=-5\npen_d=-1\n"
 HEADER_COMMENTS = (
     "[grid]  # floor\nSI\n",
@@ -125,7 +126,7 @@ def study_dir(tmp_path_factory):
         ANY_TEXT,
         _sectioned_text(
             ["grid", "params", "planner"],
-            [*PARAM_RULES, *PLANNER_RULES],
+            [*file_keys(EpiParams), *file_keys(PlannerSettings)],
             st.text(alphabet="#.SIERV", min_size=1, max_size=4),
         ),
     )
@@ -142,7 +143,7 @@ def test_parse_scenario_parses_or_fails_on_a_line(text):
         _check_failure(exc)
 
 
-@given(st.one_of(ANY_TEXT, _sectioned_text(["experiment"], list(EXPERIMENT_RULES))))
+@given(st.one_of(ANY_TEXT, _sectioned_text(["experiment"], list(file_keys(ExperimentSpec)))))
 @example(NUL_PATH)
 @example(RUNS_ZERO)
 @FUZZ
@@ -157,7 +158,7 @@ def test_parse_experiment_file_parses_or_fails_on_a_line(study_dir, text):
         pass  # a referenced scenario that cannot be read
 
 
-@given(st.one_of(ANY_TEXT, _sectioned_text(["school"], list(SCHOOL_RULES))))
+@given(st.one_of(ANY_TEXT, _sectioned_text(["school"], SCHOOL_KEYS)))
 @example(ZERO_CLASSROOMS)
 @FUZZ
 def test_parse_benchmark_file_parses_or_fails_on_a_line(study_dir, text):
@@ -207,6 +208,122 @@ def test_readers_share_one_grammar(tmp_path, section, lead, body, error):
     with pytest.raises(ScenarioParseError) as info:
         read()
     assert str(info.value) == error.format(key=key, section=section)
+
+
+FLOAT = "could not convert string to float: 'zebra'"
+INT = "invalid literal for int() with base 10: 'zebra'"
+UNIT = "must be in [0, 1]"
+PLANNER_BUDGET = [
+    ("horizon", INT, -1, "must be >= 0"),
+    ("rounds", INT, 0, "must be >= 1"),
+    ("uct_iterations", INT, -1, "must be >= 0"),
+    ("uct_exploration", FLOAT, 0.0, "must be positive"),
+]
+# reader section -> (key, why "zebra" does not convert, an out-of-range
+# value, its range message) for every ranged key the section reads
+RANGED_KEYS = {
+    "params": [
+        *((key, FLOAT, 1.5, UNIT) for key in ("beta", "sigma", "gamma", "mu")),
+        ("k", FLOAT, 0.0, "must be in (0, 1]"),
+        *(
+            (key, FLOAT, -0.5, UNIT)
+            for key in (
+                "p_mv", "infected_persistence", "mask_sus_mult", "mask_inf_mult",
+                "mask_noncompliance", "vax_noncompliance", "vax_protection",
+            )
+        ),
+        ("exposure_radius", INT, 0, "must be >= 1"),
+    ],
+    "planner": [
+        ("pen_i", FLOAT, 0.0, "must be negative"),
+        ("pen_d", FLOAT, 1.0, "must be negative"),
+        ("cost_mask_action", FLOAT, 0.5, "must be <= 0"),
+        ("cost_vax_action", FLOAT, 0.5, "must be <= 0"),
+        *PLANNER_BUDGET,
+    ],
+    "experiment": [("runs", INT, 0, "must be >= 1")],
+    "school": [
+        *((key, INT, 0, "must be >= 1") for key in ("enrollment", "per_room", "grid_x", "grid_y")),
+        ("true_pos_pct", FLOAT, 100.5, "must be in [0, 100]"),
+        *PLANNER_BUDGET,  # the classroom planner overrides
+    ],
+}
+# reader section -> the text before its key line, which is line 5
+KEY_LINE_LEAD = {
+    "params": "[grid]\nSI\n\n[params]\n",
+    "planner": "[grid]\nSI\n\n[planner]\n",
+    "experiment": "# a\n\n[experiment]\nscenario = room.scn\n",
+    "school": "# a\n# b\n\n[school]\n",
+}
+NO_VARIATION = (
+    "unknown variation 'zebra'; expected one of ['masks', 'masks+vaccines', 'none', 'vaccines']"
+)
+VARIATIONS_SAYS = "variations must be a non-empty tuple of VARIATIONS flag pairs"
+
+
+@pytest.mark.parametrize(
+    "section, key, text, error",
+    [
+        pytest.param(section, key, text, error, id=f"{section}.{key}={text}")
+        for section, keys in RANGED_KEYS.items()
+        for key, reason, value, says in keys
+        for text, error in (
+            ("zebra", f"bad value for {key!r}: {reason}"),
+            (str(value), f"{key} {says}"),
+        )
+    ]
+    + [
+        pytest.param(section, "variations", text, error, id=f"{section}.variations={text}")
+        for section in ("experiment", "school")
+        for text, error in (
+            ("zebra", f"bad value for 'variations': {NO_VARIATION}"),
+            (",", "bad value for 'variations': variations list is empty"),
+        )
+    ],
+)
+def test_every_ranged_key_fails_with_its_message_on_its_line(study_dir, section, key, text, error):
+    body = KEY_LINE_LEAD[section] + f"{key} = {text}\n"
+    path = study_dir / "messages.txt"
+    path.write_text(body, encoding="utf-8")
+    read = {
+        "params": lambda: parse_scenario(body),
+        "planner": lambda: parse_scenario(body),
+        "experiment": lambda: parse_experiment_file(path),
+        "school": lambda: parse_benchmark_file(path),
+    }[section]
+    with pytest.raises(ScenarioParseError) as info:
+        read()
+    assert (info.value.line, str(info.value)) == (5, f"line 5: {error}")
+
+
+# reader section -> (the record it sets, the prefix of that record's messages)
+SECTION_RECORD = {
+    "params": (EpiParams, "params."),
+    "planner": (PlannerSettings, "planner."),
+    "experiment": (ExperimentSpec, ""),
+    "school": (SchoolBenchmarkSpec, ""),
+}
+
+
+@pytest.mark.parametrize(
+    "section, key, value, error",
+    [
+        pytest.param(section, key, value, f"{key} {says}", id=f"{section}.{key}={value!r}")
+        for section, keys in RANGED_KEYS.items()
+        for key, _, value, says in keys
+    ]
+    + [
+        pytest.param(section, "variations", (), VARIATIONS_SAYS, id=f"{section}.variations=()")
+        for section in ("experiment", "school")
+    ],
+)
+def test_every_ranged_field_fails_with_its_message_in_code(section, key, value, error):
+    record, prefix = SECTION_RECORD[section]
+    if key not in {f.name for f in fields(record)}:  # a school's planner override
+        record, prefix = SECTION_RECORD["planner"]
+    with pytest.raises(ScenarioValidationError) as info:
+        BUILD_CHECKED[record](**{key: value})
+    assert info.value.errors == [prefix + error]
 
 
 # ---------------------------------------------------------------------------
