@@ -14,9 +14,11 @@ Subcommands::
     gridepi oracle ode [--s0 ... --mode literal|conserving --dt --steps --out]
     gridepi oracle enumerate <scenario> [--horizon N] [--out dist.json]
 
-Exit codes: 0 success, 1 validation or usage error, 2 I/O error. All
-output is deterministic: the same invocation with the same seed writes
-byte-identical files. The default seed is DEFAULT_SEED (1729).
+Exit codes: 0 success, 1 validation or usage error, 2 I/O error. Errors
+go to standard error as ``error: ...`` lines, so they never land in
+results written to standard output; ``warning: ...`` lines go to
+standard output. All output is deterministic: the same invocation with
+the same seed writes byte-identical files. The default seed is DEFAULT_SEED (1729).
 """
 
 from __future__ import annotations
@@ -244,13 +246,13 @@ def cli_main(argv: list[str] | None = None) -> int:
         return args.run(args)
     except ScenarioValidationError as exc:
         for error in exc.errors:
-            print(f"error: {error}")
+            print(f"error: {error}", file=sys.stderr)
         return EXIT_USAGE
     except (ScenarioError, ValueError) as exc:
-        print(f"error: {exc}")
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
-        print(f"error: {exc}")
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 
 

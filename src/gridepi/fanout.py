@@ -2,21 +2,22 @@
 
 :func:`fan_out` returns what the serial loop ``[run(*task) for task in
 tasks]`` returns. When the batch's cost pays for it, the tasks run in
-forked workers and each result crosses a pipe as the plain ``marshal``
-data its caller's ``pack`` makes; the in-process path packs nothing.
-The workers take the tasks longest first, by an expected cost the
-caller computes from each task, so that no worker is left with one long
-task while the others idle (Graham's LPT rule); the results come back
-in task order whatever order they ran in. Any task without a worker
-result runs in-process, in task order, so a failing task raises exactly
-as on the serial path. This module knows no task type.
+forked workers. Each worker appends its results, as the plain
+``marshal`` data its caller's ``pack`` makes, to its own in-memory file,
+which this process reads once the workers have exited; the in-process
+path packs nothing. The workers take the tasks longest first, by an
+expected cost the caller computes from each task, so that no worker is
+left with one long task while the others idle (Graham's LPT rule); the
+results come back in task order whatever order they ran in. Any task
+without a worker result runs in-process, in task order, so a failing
+task raises exactly as on the serial path. This module knows no task
+type.
 """
 
 from __future__ import annotations
 
 import marshal
 import os
-import select
 import signal
 import threading
 from typing import Callable, NoReturn
@@ -40,7 +41,7 @@ def fan_out(
     :func:`_worker_count` allows for a batch of the summed ``cost(*task)``.
 
     The workers take the tasks in :func:`_dispatch_order` of those
-    costs. A worker sends ``pack(run(*task))``, which must be
+    costs. A worker writes ``pack(run(*task))``, which must be
     ``marshal``-able, and this process returns ``unpack`` of it. The
     caller's ``unpack`` names its own classes; a pickled result would
     name them by import path, which no longer leads to them once the
@@ -63,10 +64,10 @@ def _dispatch_order(costs: list) -> list[int]:
 
 def _worker_count(count: int, budget: int) -> int:
     """Workers to fork for ``count`` tasks: one per CPU this process may
-    run on, at most one per task; 0 (run in-process) without ``os.fork``
-    or CPU affinity, with another thread running, with fewer than two
-    workers, or below :data:`FORK_MIN_BUDGET`."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+    run on, at most one per task; 0 (run in-process) without ``os.fork``,
+    CPU affinity or ``os.memfd_create``, with another thread running, with
+    fewer than two workers, or below :data:`FORK_MIN_BUDGET`."""
+    if not all(hasattr(os, call) for call in ("fork", "sched_getaffinity", "memfd_create")):
         return 0
     if threading.active_count() > 1 or budget < FORK_MIN_BUDGET:
         return 0
@@ -76,71 +77,50 @@ def _worker_count(count: int, budget: int) -> int:
 
 def _fork_tasks(job: Callable, order: list[int], workers: int) -> dict[int, object]:
     """Run ``job(k)`` for every task index k in ``order`` in ``workers``
-    forked children; return the results they sent, by task index.
+    forked children; return the results they wrote, by task index.
 
     The children take 4-byte task indices from one shared pipe in
-    ``order``, so a child that finishes early takes the next task; every
-    write to that pipe is whole indices and atomic, so each 4-byte read
-    is one index.
-    Each child sends length-prefixed ``marshal`` frames of (index,
-    result) over its own pipe, and the parent reads every pipe to EOF.
-    Every child is reaped before this returns or raises."""
+    ``order``, so a child that finishes early takes the next task. This
+    process writes one index per blocking write, so each write is atomic
+    and each 4-byte read is one index; it then closes the pipe and reaps
+    the children. Each child appends length-prefixed ``marshal`` frames
+    of (index, result) to its own in-memory file, which never waits on
+    this process, and this process reads every file once the children
+    are gone. Every child is reaped before this returns or raises."""
     owned: set[int] = set()  # descriptors this process has open
-    children: list[int] = []
-    results: dict[int, bytearray] = {}  # result pipe -> bytes read so far
-    done = False
+    children: list[int] = []  # forked and not yet reaped
+    outs: list[int] = []  # one result file per child
     try:
         task_r, task_w = os.pipe()
         owned |= {task_r, task_w}
         for _ in range(workers):
-            out_r, out_w = os.pipe()
-            owned |= {out_r, out_w}
+            out = os.memfd_create("gridepi-fanout")
+            owned.add(out)
+            outs.append(out)
             pid = os.fork()
             if pid == 0:
-                _worker(job, task_r, out_w, owned - {task_r, out_w})
+                _worker(job, task_r, out, owned - {task_r, out})
             children.append(pid)
-            results[out_r] = bytearray()
-            os.close(out_w)
-            owned.discard(out_w)
         os.close(task_r)
         owned.discard(task_r)
-        pending = b"".join(k.to_bytes(4, "little") for k in order)
-        os.set_blocking(task_w, False)
-        poller = select.poll()
-        poller.register(task_w, select.POLLOUT)
-        for fd in results:
-            poller.register(fd, select.POLLIN)
-        reading = len(results)
-        while reading:
-            for fd, _ in poller.poll():
-                if fd != task_w:
-                    chunk = os.read(fd, 1 << 16)
-                    results[fd] += chunk
-                    if not chunk:
-                        poller.unregister(fd)
-                        reading -= 1
-                    continue
-                try:
-                    # at most PIPE_BUF bytes, so a write is all or nothing
-                    pending = pending[os.write(task_w, pending[: select.PIPE_BUF]) :]
-                except BlockingIOError:
-                    continue
-                except BrokenPipeError:  # every child has exited
-                    pending = b""
-                if not pending:
-                    poller.unregister(task_w)
-                    os.close(task_w)  # the children read EOF once it drains
-                    owned.discard(task_w)
-        done = True
+        try:
+            for k in order:
+                os.write(task_w, k.to_bytes(4, "little"))
+        except BrokenPipeError:
+            pass  # every child has exited; the rest run in-process
+        os.close(task_w)  # the children read EOF once the pipe drains
+        owned.discard(task_w)
+        while children:
+            os.waitpid(children.pop(), 0)
+        files = [os.pread(out, os.fstat(out).st_size, 0) for out in outs]
     finally:
         for fd in owned:
             os.close(fd)
         for pid in children:
-            if not done:
-                os.kill(pid, signal.SIGKILL)
+            os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     found: dict[int, object] = {}
-    for data in results.values():
+    for data in files:
         pos = 0
         while pos + 4 <= len(data):
             end = pos + 4 + int.from_bytes(data[pos : pos + 4], "little")
@@ -152,12 +132,12 @@ def _fork_tasks(job: Callable, order: list[int], workers: int) -> dict[int, obje
     return found
 
 
-def _worker(job: Callable, task_r: int, out_w: int, inherited: set[int]) -> NoReturn:
+def _worker(job: Callable, task_r: int, out: int, inherited: set[int]) -> NoReturn:
     """A forked child's whole life: run ``job`` on the task indices it
-    reads from ``task_r`` and send each result over ``out_w`` until the
-    task pipe is empty and closed. It never returns: the first task that
-    raises ends it, without a traceback, and the parent runs that task
-    again."""
+    reads from ``task_r`` and append each result to the in-memory file
+    ``out`` until the task pipe is empty and closed. It never returns:
+    the first task that raises ends it, without a traceback, and the
+    parent runs that task again."""
     code = 1
     try:
         for fd in inherited:  # with task_w open here, the task pipe never ends
@@ -167,7 +147,7 @@ def _worker(job: Callable, task_r: int, out_w: int, inherited: set[int]) -> NoRe
             frame = marshal.dumps((k, job(k)))
             frame = len(frame).to_bytes(4, "little") + frame
             while frame:
-                frame = frame[os.write(out_w, frame) :]
+                frame = frame[os.write(out, frame) :]
         code = 0
     finally:
         os._exit(code)

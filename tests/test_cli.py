@@ -89,8 +89,8 @@ def test_validate_reports_all_errors(tmp_path, capsys):
     bad = tmp_path / "bad.scn"
     bad.write_text("[grid]\nSS\n\n[planner]\npen_i=-5.0\npen_d=-1.0\n", encoding="utf-8")
     assert cli_main(["validate", str(bad)]) == EXIT_USAGE
-    out = capsys.readouterr().out
-    assert "error:" in out
+    err = capsys.readouterr().err
+    assert "error:" in err
 
 
 def test_validate_warns_without_failing(tmp_path, capsys):
@@ -204,12 +204,12 @@ def test_simulate_horizon_override(tmp_path, micro, capsys):
 
 def test_simulate_rejects_bad_rounds(micro, capsys):
     assert cli_main(["simulate", micro, "--rounds", "0"]) == EXIT_USAGE
-    assert capsys.readouterr().out == "error: planner.rounds must be >= 1\n"
+    assert capsys.readouterr().err == "error: planner.rounds must be >= 1\n"
 
 
 def test_simulate_rejects_negative_horizon(micro, capsys):
     assert cli_main(["simulate", micro, "--horizon", "-1"]) == EXIT_USAGE
-    assert capsys.readouterr().out == "error: planner.horizon must be >= 0\n"
+    assert capsys.readouterr().err == "error: planner.horizon must be >= 0\n"
 
 
 def test_simulate_room_without_persons_exits_one(tmp_path, capsys):
@@ -219,7 +219,7 @@ def test_simulate_room_without_persons_exits_one(tmp_path, capsys):
     out = tmp_path / "traj.csv"
     code = cli_main(["simulate", str(path), "--rounds", "1", "--out", str(out)])
     assert code == EXIT_USAGE
-    assert capsys.readouterr().out == "error: scenario has no persons\n"
+    assert capsys.readouterr().err == "error: scenario has no persons\n"
     assert not out.exists()
 
 
@@ -279,7 +279,7 @@ def test_experiment_runs_override(sweep, capsys):
 
 def test_experiment_runs_zero_prints_the_spec_rule(sweep, capsys):
     assert cli_main(["experiment", sweep, "--runs", "0"]) == EXIT_USAGE
-    assert capsys.readouterr().out == "error: runs must be >= 1\n"
+    assert capsys.readouterr().err == "error: runs must be >= 1\n"
 
 
 def test_experiment_label_with_comma_stays_one_cell(tmp_path, tiny, capsys):
@@ -297,14 +297,34 @@ def test_experiment_bad_spec_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.exp"
     bad.write_text("[experiment]\nruns = 3\n", encoding="utf-8")
     assert cli_main(["experiment", str(bad)]) == EXIT_USAGE
-    assert "error:" in capsys.readouterr().out
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["experiment", "{sweep}", "--runs", "0"], EXIT_USAGE),
+        (["validate", "{bad}"], EXIT_USAGE),
+        (["experiment", "/nonexistent/nowhere.exp"], EXIT_IO),
+    ],
+)
+def test_errors_go_to_stderr_alone(argv, code, sweep, tmp_path, capsys):
+    """An error never lands in results piped from standard output, from a
+    spec rule, a list of validation errors or an I/O failure."""
+    bad = tmp_path / "bad.scn"
+    bad.write_text("[grid]\nSS\n\n[planner]\npen_i=-5.0\npen_d=-1.0\n", encoding="utf-8")
+    argv = [arg.format(sweep=sweep, bad=bad) for arg in argv]
+    assert cli_main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err and all(line.startswith("error: ") for line in err.splitlines())
 
 
 def test_experiment_empty_scenario_path_exits_one(tmp_path, capsys):
     path = tmp_path / "empty.exp"
     path.write_text("[experiment]\nscenario=\nruns=1\n", encoding="utf-8")
     assert cli_main(["experiment", str(path)]) == EXIT_USAGE
-    assert capsys.readouterr().out == (
+    assert capsys.readouterr().err == (
         "error: line 2: bad value for 'scenario': path is empty\n"
     )
 
@@ -350,7 +370,7 @@ def test_benchmark_zero_classrooms_exits_one(tmp_path, capsys):
         encoding="utf-8",
     )
     assert cli_main(["benchmark", str(path)]) == EXIT_USAGE
-    assert capsys.readouterr().out == (
+    assert capsys.readouterr().err == (
         "error: line 1: enrollment / per_room rounds to 0 classrooms\n"
     )
 
@@ -363,7 +383,7 @@ def test_benchmark_non_finite_positivity_exits_one(tmp_path, capsys):
         encoding="utf-8",
     )
     assert cli_main(["benchmark", str(path)]) == EXIT_USAGE
-    assert capsys.readouterr().out.startswith("error: line 7: ")
+    assert capsys.readouterr().err.startswith("error: line 7: ")
 
 
 def test_benchmark_bad_second_school_simulates_nothing(tmp_path, capsys, monkeypatch):
@@ -376,7 +396,7 @@ def test_benchmark_bad_second_school_simulates_nothing(tmp_path, capsys, monkeyp
     simulated = []
     monkeypatch.setattr(harness, "simulate_school", lambda *args: simulated.append(args))
     assert cli_main(["benchmark", str(path)]) == EXIT_USAGE
-    assert capsys.readouterr().out == "error: line 17: rounds must be >= 1\n"
+    assert capsys.readouterr().err == "error: line 17: rounds must be >= 1\n"
     assert simulated == []
 
 
@@ -433,7 +453,7 @@ def test_oracle_ode_validates_arguments(capsys):
 
 def test_oracle_ode_checks_dt_without_steps(capsys):
     assert cli_main(["oracle", "ode", "--steps", "0", "--dt", "0"]) == EXIT_USAGE
-    assert capsys.readouterr().out == "error: dt must be positive\n"
+    assert capsys.readouterr().err == "error: dt must be positive\n"
 
 
 @pytest.mark.parametrize(
@@ -449,7 +469,7 @@ def test_oracle_ode_checks_dt_without_steps(capsys):
 )
 def test_oracle_ode_rejects_non_finite_inputs(flag, value, message, capsys):
     assert cli_main(["oracle", "ode", flag, value, "--steps", "1"]) == EXIT_USAGE
-    assert capsys.readouterr().out == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_oracle_enumerate_distribution(micro, capsys):
@@ -467,7 +487,7 @@ def test_oracle_enumerate_defaults_to_scenario_horizon(micro, capsys):
 
 def test_oracle_enumerate_guard_violation(tiny, capsys):
     assert cli_main(["oracle", "enumerate", tiny]) == EXIT_USAGE
-    assert "error:" in capsys.readouterr().out
+    assert "error:" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,7 @@ def test_forked_path_matches_the_golden_files(name, tmp_path, forked):
     assert forked.parent_tasks == 0, "the workers left tasks to the parent"
 
 
-@pytest.mark.parametrize("call", ["fork", "pipe"])
+@pytest.mark.parametrize("call", ["fork", "pipe", "memfd_create"])
 def test_failed_fork_or_pipe_runs_in_process(call, tmp_path, forked, monkeypatch):
     monkeypatch.setattr(os, call, _refuse)
     _golden("benchmark_tiny", tmp_path)
@@ -156,7 +156,7 @@ def test_task_failing_everywhere_exits_one(forked, monkeypatch, capsys):
     monkeypatch.setattr(planner, "_play_round", always_fails)
     code = cli_main(["benchmark", str(INPUTS / "tiny.bench"), "--seed", "5"])
     assert code == EXIT_USAGE
-    assert capsys.readouterr().out == "error: no room for this episode\n"
+    assert capsys.readouterr().err == "error: no room for this episode\n"
     assert forked.forks == 2
 
 
@@ -248,7 +248,7 @@ def test_run_episode_child_dying_after_one_result(forked, monkeypatch):
     _assert_same(episodes, _serial("planner", monkeypatch))
 
 
-@pytest.mark.parametrize("call", ["fork", "pipe"])
+@pytest.mark.parametrize("call", ["fork", "pipe", "memfd_create"])
 def test_run_episode_failed_fork_or_pipe_runs_in_process(call, forked, monkeypatch):
     monkeypatch.setattr(os, call, _refuse)
     episodes = _episodes("random")
@@ -290,6 +290,41 @@ def test_result_the_pipe_cannot_carry_reruns_in_process(forked):
     results = fanout.fan_out(run, [(k,) for k in range(4)], lambda k: 1, lambda r: r, lambda r: r)
     assert forked.forks == 2 and ran_here == [1]
     assert [results[0], results[1](), *results[2:]] == [0, 1, 4, 6]
+
+
+def test_child_dying_inside_a_result_frame_reruns_that_task(forked, monkeypatch):
+    """A child that writes only part of a result frame to its file and
+    dies loses that one task: the parent runs it itself, reads every
+    whole frame before it, and returns the serial results."""
+    parent = os.getpid()
+    real_memfd_create, real_write = os.memfd_create, os.write
+    result_files = []
+    ran_here = []
+    dying = []  # set in the child that ran task 1
+
+    def recording_memfd_create(*args):
+        result_files.append(real_memfd_create(*args))
+        return result_files[-1]
+
+    def half_then_die(fd, data):
+        if dying and fd in result_files:
+            real_write(fd, data[: len(data) // 2])
+            os._exit(9)
+        return real_write(fd, data)
+
+    def run(k):
+        if os.getpid() == parent:
+            ran_here.append(k)
+        elif k == 1:
+            dying.append(k)
+        return [k] * 8
+
+    monkeypatch.setattr(os, "memfd_create", recording_memfd_create)
+    monkeypatch.setattr(os, "write", half_then_die)
+    tasks = [(k,) for k in range(4)]
+    results = fanout.fan_out(run, tasks, lambda k: 1, lambda r: r, lambda r: r)
+    assert forked.forks == 2 and len(result_files) == 2 and ran_here == [1]
+    assert results == [[k] * 8 for k in range(4)]
 
 
 def test_workers_serve_a_caller_from_an_earlier_import(forked, monkeypatch):
@@ -372,7 +407,7 @@ def test_no_fork_while_another_thread_runs(monkeypatch):
         thread.join()
 
 
-@pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+@pytest.mark.parametrize("missing", ["fork", "sched_getaffinity", "memfd_create"])
 def test_no_fork_without_the_os_calls(missing, monkeypatch):
     big = _budget_tasks(10, fanout.FORK_MIN_BUDGET, True)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
