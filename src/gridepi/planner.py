@@ -18,8 +18,9 @@ actions. Its return is the undiscounted sum of its step rewards, the
 rollout's summed on their own and added once. The recommended action
 is the root child with the most visits (ties broken by fixed action
 order). At a quiescent root (no exposed or infectious person, zero
-action costs) every return is exactly 0.0, so the root statistics are
-replayed from the UCB1 selections alone, without simulating or drawing.
+action costs) every return is exactly 0.0, so the search loop stops
+each iteration after its root choice: the root statistics come from
+the same expansions and UCB1 selections, with nothing simulated or drawn.
 
 The ``settings`` handed to :func:`plan_with_stats` and :func:`run_episode`
 govern the run, action costs included, in place of the scenario's own.
@@ -115,56 +116,6 @@ def _select(node: SearchNode, actions: list[Action], exploration: float) -> Acti
     return best_action
 
 
-def _search(
-    root: SearchNode,
-    state: SimState,
-    validated: ValidatedScenario,
-    settings: PlannerSettings,
-    rng,
-) -> None:
-    """Run ``settings.uct_iterations`` UCT iterations from ``state`` into
-    ``root`` and back every return up the iteration's path.
-
-    Each iteration steps one clone of ``state`` to the horizon in one
-    loop. While it is in the tree it descends by UCB1, until it expands
-    the first untried action in canonical order; from there it rolls out
-    uniformly random legal actions. The rollout's rewards are summed on
-    their own and added to the tree steps' sum once, after the loop."""
-    horizon = settings.horizon
-    exploration = settings.uct_exploration
-    getrandbits = rng.getrandbits
-    for _ in range(settings.uct_iterations):
-        sim = state.clone()
-        node = root
-        path = [root]
-        total = rollout = 0.0
-        while sim.step < horizon:
-            in_tree = node is not None
-            if in_tree:
-                actions = available_actions(sim, settings)
-                children = node.children
-                for action in actions:
-                    if action not in children:  # expand it, then roll out
-                        children[action] = SearchNode()
-                        node = None
-                        break
-                else:  # every action tried: descend by UCB1
-                    action = _select(node, actions, exploration)
-                    node = children[action]
-                path.append(children[action])
-            else:
-                action = _random_action(sim, settings, getrandbits)
-            gained = step_inplace(sim, action, validated, settings, rng)
-            if in_tree:
-                total += gained
-            else:
-                rollout += gained
-        total += rollout
-        for visited in path:
-            visited.visit_count += 1
-            visited.total_return += total
-
-
 _SPREADING = (Compartment.E, Compartment.I)
 
 
@@ -179,23 +130,64 @@ def _quiescent(state: SimState, settings: PlannerSettings) -> bool:
     )
 
 
-def _idle_search(
-    root: SearchNode, root_actions: list[Action], iterations: int, exploration: float
+def _search(
+    root: SearchNode,
+    state: SimState,
+    validated: ValidatedScenario,
+    settings: PlannerSettings,
+    rng,
 ) -> None:
-    """Fill ``root`` as :func:`_search` does where every return is 0.0.
+    """Run ``settings.uct_iterations`` UCT iterations from ``state`` into
+    ``root`` and back every return up the iteration's path.
 
-    Iteration i < k expands ``root_actions[i]`` and every later one takes
-    :func:`_select`, exactly as the search does; with each return 0.0
-    the root statistics depend on nothing else. Nothing is simulated and
-    nothing is drawn."""
-    children = root.children
-    for i in range(iterations):
-        if i < len(root_actions):
-            child = children[root_actions[i]] = SearchNode()
-        else:
-            child = children[_select(root, root_actions, exploration)]
-        child.visit_count += 1
-        root.visit_count += 1
+    Each iteration steps one clone of ``state`` to the horizon in one
+    loop. While it is in the tree it descends by UCB1, until it expands
+    the first untried action in canonical order; from there it rolls out
+    uniformly random legal actions. The rollout's rewards are summed on
+    their own and added to the tree steps' sum once, after the loop. The
+    root's legal actions are listed once and serve every iteration.
+
+    At a :func:`_quiescent` root every return is 0.0, so each iteration
+    stops after its root choice: ``state`` is not cloned, stepped or
+    mutated, nothing is drawn from ``rng``, and the root statistics equal
+    the full search's."""
+    horizon = settings.horizon
+    exploration = settings.uct_exploration
+    getrandbits = rng.getrandbits
+    quiescent = _quiescent(state, settings)
+    root_actions = available_actions(state, settings)
+    for _ in range(settings.uct_iterations):
+        sim = state if quiescent else state.clone()
+        node = root
+        path = [root]
+        total = rollout = 0.0
+        while sim.step < horizon:
+            in_tree = node is not None
+            if in_tree:
+                actions = root_actions if node is root else available_actions(sim, settings)
+                children = node.children
+                for action in actions:
+                    if action not in children:  # expand it, then roll out
+                        children[action] = SearchNode()
+                        node = None
+                        break
+                else:  # every action tried: descend by UCB1
+                    action = _select(node, actions, exploration)
+                    node = children[action]
+                path.append(children[action])
+                if quiescent:
+                    break
+            else:
+                action = _random_action(sim, settings, getrandbits)
+            gained = step_inplace(sim, action, validated, settings, rng)
+            if in_tree:
+                total += gained
+            else:
+                rollout += gained
+        total += rollout
+        for visited in path:
+            visited.visit_count += 1
+            visited.total_return += total
 
 
 def _recommend(root: SearchNode) -> tuple[Action, dict]:
@@ -230,20 +222,17 @@ def plan_with_stats(
 
     A root with no exposed or infectious person under zero action costs
     is quiescent: no one can be infected or die again, so every return
-    of the search is exactly 0.0. There the root statistics are replayed
-    by :func:`_idle_search`, equal to the search's, and nothing is drawn
-    from ``rng``. In :func:`run_episode` every later root of the round is
-    quiescent too, so the stream is not read again there.
+    of the search is exactly 0.0. There :func:`_search` stops each
+    iteration after its root choice, and nothing is drawn from ``rng``.
+    In :func:`run_episode` every later root of the round is quiescent
+    too, so the stream is not read again there.
     """
     root_actions = available_actions(state, settings)
     if settings.uct_iterations <= 0 or state.step >= settings.horizon or len(root_actions) == 1:
         return NOOP, {"root_visits": 0, "per_action": []}
 
     root = SearchNode()
-    if _quiescent(state, settings):
-        _idle_search(root, root_actions, settings.uct_iterations, settings.uct_exploration)
-    else:
-        _search(root, state, validated, settings, rng)
+    _search(root, state, validated, settings, rng)
     return _recommend(root)
 
 

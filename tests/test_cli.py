@@ -37,6 +37,17 @@ rounds = 2
 uct_iterations = 8
 """
 
+# no one is exposed or infectious, so every planner root is quiescent
+QUIET_SCN = """\
+[grid]
+S.S
+
+[planner]
+horizon = 3
+rounds = 2
+uct_iterations = 16
+"""
+
 
 @pytest.fixture
 def micro(tmp_path):
@@ -221,6 +232,23 @@ def test_simulate_room_without_persons_exits_one(tmp_path, capsys):
     assert code == EXIT_USAGE
     assert capsys.readouterr().err == "error: scenario has no persons\n"
     assert not out.exists()
+
+
+def test_simulate_warns_about_a_room_without_infection(tmp_path, capsys):
+    path = tmp_path / "quiet.scn"
+    path.write_text(QUIET_SCN, encoding="utf-8")
+    decisions = tmp_path / "decisions.jsonl"
+    assert cli_main(["simulate", str(path), "--decisions", str(decisions)]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert out.splitlines()[0] == "warning: no initially infectious person; nothing will spread"
+    assert err == ""
+    for r in range(2):
+        lines = (tmp_path / f"decisions_r{r}.jsonl").read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 3
+        for line in lines:
+            decision = json.loads(line)
+            assert decision["root_visits"] == 16
+            assert all(row["mean_return"] == 0.0 for row in decision["per_action"])
 
 
 def test_simulate_missing_scenario_exits_two(capsys):

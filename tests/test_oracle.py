@@ -232,6 +232,13 @@ def test_enumerate_probabilities_sum_to_one():
         assert all(sum(key) == 2 for key in dist.probabilities)
 
 
+def test_enumerate_certain_exposure_has_one_outcome():
+    # beta=1 without masks makes the exposure certain, and the infectious
+    # person stays infectious
+    v = _validated("[grid]\nSI\n\n[params]\nbeta=1\np_mv=0\ninfected_persistence=1\n")
+    assert enumerate_exact(v, 1).probabilities == {(0, 1, 1, 0, 0): 1.0}
+
+
 def test_enumerate_zero_horizon_is_point_mass():
     v = _validated(MICRO)
     dist = enumerate_exact(v, 0)

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings as hypothesis_settings
 from hypothesis import strategies as st
 
-from gridepi import assets
+from gridepi import assets, planner
 from gridepi.dynamics import (
     Compartment,
     census,
@@ -563,13 +564,37 @@ def _quiescent_roots(draw):
 @hypothesis_settings(derandomize=True, deadline=None, max_examples=120)
 @given(_quiescent_roots())
 def test_quiescent_root_replay_equals_the_search(root):
+    # the reference is the full search, simulated to the horizon; a
+    # function-scoped monkeypatch cannot serve every @given example
     v, state, settings = root
     searched = SearchNode()
-    _search(searched, state, v, settings, substream(0, "plan"))
+    with patch.object(planner, "_quiescent", return_value=False):
+        _search(searched, state, v, settings, substream(0, "plan"))
     expected = _recommend(searched)
     got = plan_with_stats(state, v, settings, substream(0, "plan"))
     assert got == expected
     assert repr(got) == repr(expected)  # the same signs of zero too
+
+
+def _state_view(state):
+    return (
+        repr(state.persons),
+        state.occupant,
+        state.step,
+        state.mask_mandate_active,
+        state.action_costs,
+    )
+
+
+@hypothesis_settings(derandomize=True, deadline=None, max_examples=60)
+@given(_quiescent_roots())
+def test_plan_leaves_a_quiescent_root_untouched(root):
+    # the search uses a quiescent root itself, without a clone, so it
+    # must stop every iteration before stepping it
+    v, state, settings = root
+    before = state.clone()
+    plan_with_stats(state, v, settings, substream(0, "plan"))
+    assert _state_view(state) == _state_view(before)
 
 
 def _quiescent_small_space():

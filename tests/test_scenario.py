@@ -369,6 +369,26 @@ def test_validate_rejects_short_tiles_without_reading_them():
     assert info.value.errors == ["grid tile count does not match width*height"]
 
 
+@pytest.mark.parametrize(
+    "config, error",
+    [
+        (ScenarioConfig(GridMap(0, 1, ()), ()), "grid must have positive dimensions"),
+        (
+            ScenarioConfig(_grid2(), (Placement(0, (5, 0), "S"),)),
+            "person 0 placed out of bounds at (5, 0)",
+        ),
+        (
+            ScenarioConfig(_grid2(), (Placement(0, (0, 0), "Q"),)),
+            "person 0 has unknown compartment 'Q'",
+        ),
+    ],
+)
+def test_validate_rejects_bad_grids_and_placements(config, error):
+    with pytest.raises(ScenarioValidationError) as info:
+        validate(config)
+    assert info.value.errors == [error]
+
+
 def test_validate_rejects_all_walls():
     config = ScenarioConfig(grid=GridMap(2, 1, (False, False)), placements=())
     with pytest.raises(ScenarioValidationError, match="no walkable"):
@@ -415,6 +435,8 @@ def test_settings_accept_ints_for_floats():
         ({"exposure_radius": 1.5}, "params.exposure_radius must be an int"),
         ({"exposure_radius": "2"}, "params.exposure_radius must be an int"),
         ({"p_mv": None}, "params.p_mv must be a finite number"),
+        # an int beyond the float range overflows math.isfinite
+        ({"beta": 10**400}, "params.beta must be a finite number"),
     ],
 )
 def test_validate_rejects_wrongly_typed_params(patch, error):
