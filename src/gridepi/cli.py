@@ -14,7 +14,8 @@ Subcommands::
     gridepi oracle ode [--s0 ... --mode literal|conserving --dt --steps --out]
     gridepi oracle enumerate <scenario> [--horizon N] [--out dist.json]
 
-Exit codes: 0 success, 1 validation or usage error, 2 I/O error. Errors
+Exit codes: 0 success, 1 validation or usage error or an input too large
+to hold in memory, 2 I/O error. Errors
 go to standard error as ``error: ...`` lines, so they never land in
 results written to standard output; ``warning: ...`` lines go to
 standard output. All output is deterministic: the same invocation with
@@ -254,6 +255,9 @@ def cli_main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def main() -> None:

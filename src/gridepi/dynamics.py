@@ -60,6 +60,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import cache
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Mapping, NamedTuple
@@ -173,15 +174,7 @@ class _MoveText(dict):
         return text
 
 
-class _MoveTexts(dict):
-    """Grid width -> its :class:`_MoveText` table, made on first use."""
-
-    def __missing__(self, width: int) -> _MoveText:
-        table = self[width] = _MoveText(width)
-        return table
-
-
-_move_texts = _MoveTexts()
+_move_texts = cache(_MoveText)
 
 
 def events_to_jsonl(events: list[StepEvent]) -> str:
@@ -423,7 +416,7 @@ def _movement_inplace(
     random = rng.random
     getrandbits = rng.getrandbits
     step_no = state.step
-    texts = None if events is None else _move_texts[width]
+    texts = None if events is None else _move_texts(width)
     for p in state.persons:
         if p.compartment is _D:
             continue

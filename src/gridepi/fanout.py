@@ -86,7 +86,9 @@ def _fork_tasks(job: Callable, order: list[int], workers: int) -> dict[int, obje
     the children. Each child appends length-prefixed ``marshal`` frames
     of (index, result) to its own in-memory file, which never waits on
     this process, and this process reads every file once the children
-    are gone. Every child is reaped before this returns or raises."""
+    are gone. A child's copies of the other files change nothing, so the
+    one descriptor it must close is its copy of the pipe's write end.
+    Every child is reaped before this returns or raises."""
     owned: set[int] = set()  # descriptors this process has open
     children: list[int] = []  # forked and not yet reaped
     outs: list[int] = []  # one result file per child
@@ -99,7 +101,7 @@ def _fork_tasks(job: Callable, order: list[int], workers: int) -> dict[int, obje
             outs.append(out)
             pid = os.fork()
             if pid == 0:
-                _worker(job, task_r, out, owned - {task_r, out})
+                _worker(job, task_r, task_w, out)
             children.append(pid)
         os.close(task_r)
         owned.discard(task_r)
@@ -132,16 +134,16 @@ def _fork_tasks(job: Callable, order: list[int], workers: int) -> dict[int, obje
     return found
 
 
-def _worker(job: Callable, task_r: int, out: int, inherited: set[int]) -> NoReturn:
-    """A forked child's whole life: run ``job`` on the task indices it
-    reads from ``task_r`` and append each result to the in-memory file
-    ``out`` until the task pipe is empty and closed. It never returns:
-    the first task that raises ends it, without a traceback, and the
-    parent runs that task again."""
+def _worker(job: Callable, task_r: int, task_w: int, out: int) -> NoReturn:
+    """A forked child's whole life: close its copy of the pipe's write
+    end ``task_w``, without which the pipe would never end, then run
+    ``job`` on the task indices it reads from ``task_r`` and append each
+    result to the in-memory file ``out`` until the task pipe is empty and
+    closed. It never returns: the first task that raises ends it, without
+    a traceback, and the parent runs that task again."""
     code = 1
     try:
-        for fd in inherited:  # with task_w open here, the task pipe never ends
-            os.close(fd)
+        os.close(task_w)
         while record := os.read(task_r, 4):
             k = int.from_bytes(record, "little")
             frame = marshal.dumps((k, job(k)))

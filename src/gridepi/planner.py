@@ -132,6 +132,7 @@ def _quiescent(state: SimState, settings: PlannerSettings) -> bool:
 
 def _search(
     root: SearchNode,
+    root_actions: list[Action],
     state: SimState,
     validated: ValidatedScenario,
     settings: PlannerSettings,
@@ -144,8 +145,9 @@ def _search(
     loop. While it is in the tree it descends by UCB1, until it expands
     the first untried action in canonical order; from there it rolls out
     uniformly random legal actions. The rollout's rewards are summed on
-    their own and added to the tree steps' sum once, after the loop. The
-    root's legal actions are listed once and serve every iteration.
+    their own and added to the tree steps' sum once, after the loop.
+    ``root_actions`` is ``available_actions(state, settings)``, listed by
+    the caller, and serves every iteration.
 
     At a :func:`_quiescent` root every return is 0.0, so each iteration
     stops after its root choice: ``state`` is not cloned, stepped or
@@ -155,7 +157,6 @@ def _search(
     exploration = settings.uct_exploration
     getrandbits = rng.getrandbits
     quiescent = _quiescent(state, settings)
-    root_actions = available_actions(state, settings)
     for _ in range(settings.uct_iterations):
         sim = state if quiescent else state.clone()
         node = root
@@ -217,8 +218,10 @@ def plan_with_stats(
 
     The stats dict has ``root_visits`` and ``per_action``, a list of
     ``{action, visits, mean_return}`` entries in canonical action order.
-    A root with nothing to search (zero budget, the horizon reached, or
-    NOOP its one legal action) returns NOOP with empty statistics.
+    The root's legal actions are listed once, here, and the search
+    reuses that list. A root with nothing to search (zero budget, the
+    horizon reached, or NOOP its one legal action) returns NOOP with
+    empty statistics.
 
     A root with no exposed or infectious person under zero action costs
     is quiescent: no one can be infected or die again, so every return
@@ -232,7 +235,7 @@ def plan_with_stats(
         return NOOP, {"root_visits": 0, "per_action": []}
 
     root = SearchNode()
-    _search(root, state, validated, settings, rng)
+    _search(root, root_actions, state, validated, settings, rng)
     return _recommend(root)
 
 

@@ -625,8 +625,7 @@ def _neighbor_rows(grid: GridMap) -> tuple[tuple[int, ...], ...]:
 class ContactRows(dict):
     """Tile index -> its contact row: ``(d, tiles)`` pairs, one per
     Manhattan distance d in 1..radius that has a walkable tile, listing
-    the walkable tiles at distance d from it. The d = 1 tiles are the
-    tile's ``neighbors`` row itself.
+    the walkable tiles at distance d from it.
 
     The radius is ``exposure_radius`` clamped to width + height - 2, the
     largest distance between two tiles of the grid. A row is built the
@@ -635,19 +634,17 @@ class ContactRows(dict):
     would hold 2.56 million entries.
     """
 
-    def __init__(self, grid: GridMap, neighbors: tuple[tuple[int, ...], ...], radius: int):
+    def __init__(self, grid: GridMap, radius: int):
         super().__init__()
         self.grid = grid
-        self.neighbors = neighbors
         self.radius = min(radius, grid.width + grid.height - 2)
 
     def __missing__(self, tile: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
         grid = self.grid
         width, height, walkable = grid.width, grid.height, grid.tiles
         y, x = divmod(tile, width)
-        near = self.neighbors[tile]
-        row = [(1, near)] if near else []
-        for d in range(2, self.radius + 1):
+        row = []
+        for d in range(1, self.radius + 1):
             ring = []
             for dx in range(-d, d + 1):
                 tx = x + dx
@@ -723,8 +720,6 @@ def validate(config: ScenarioConfig) -> ValidatedScenario:
             errors.append(
                 f"person {pl.person_id} is pre-vaccinated but not susceptible"
             )
-    if not errors and n > walkable:
-        errors.append("more persons than walkable tiles")
 
     if errors:
         raise ScenarioValidationError(errors)
@@ -737,15 +732,13 @@ def validate(config: ScenarioConfig) -> ValidatedScenario:
     if not any(pl.compartment == "I" for pl in config.placements):
         warnings.append("no initially infectious person; nothing will spread")
 
-    neighbors = _neighbor_rows(grid)
-
     return ValidatedScenario(
         config=config,
         walkable_count=walkable,
         population=n,
         placements=tuple(sorted(config.placements, key=lambda pl: pl.person_id)),
-        neighbors=neighbors,
-        contacts=ContactRows(grid, neighbors, config.params.exposure_radius),
+        neighbors=_neighbor_rows(grid),
+        contacts=ContactRows(grid, config.params.exposure_radius),
         warnings=tuple(warnings),
     )
 

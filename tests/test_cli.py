@@ -428,6 +428,17 @@ def test_benchmark_bad_second_school_simulates_nothing(tmp_path, capsys, monkeyp
     assert simulated == []
 
 
+def test_out_of_memory_exits_one(bench, capsys, monkeypatch):
+    # a classroom too large to hold, such as grid_x = grid_y = 100000
+    # under a memory limit, fails where its tiles are made
+    def no_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(harness, "make_classroom", no_memory)
+    assert cli_main(["benchmark", bench]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "error: out of memory\n")
+
+
 def test_benchmark_deterministic(bench, capsys):
     assert cli_main(["benchmark", bench, "--seed", "8"]) == EXIT_OK
     first = capsys.readouterr().out

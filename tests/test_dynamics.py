@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import random
@@ -591,32 +592,33 @@ def _divmod_text(tile, to_tile, width):
 def test_move_text_table_per_width(monkeypatch):
     """Two rooms of width 12 but different heights and walls share one
     table, and it holds the divmod text of every move they can make."""
-    tables = dynamics._MoveTexts()
+    tables = functools.cache(dynamics._MoveText)
     monkeypatch.setattr(dynamics, "_move_texts", tables)
     rng = random.Random(21)
     for height in (11, 14):
         v = _walled_room(rng, 12, height)
-        table = tables[12]
+        table = tables(12)
         before = len(table)
         for tile, row in enumerate(v.neighbors):
             for to_tile in row:
                 assert table[tile << 32 | to_tile] == _divmod_text(tile, to_tile, 12)
         assert 0 < len(table) - before <= 4 * v.walkable_count
-    assert list(tables) == [12]
-    assert any(re.search(r"\(1\d,1\d\)", text) for text in tables[12].values())
+    assert tables.cache_info().currsize == 1
+    assert any(re.search(r"\(1\d,1\d\)", text) for text in tables(12).values())
 
 
 def test_move_text_is_built_only_for_logged_moves(monkeypatch):
-    tables = dynamics._MoveTexts()
+    tables = functools.cache(dynamics._MoveText)
     monkeypatch.setattr(dynamics, "_move_texts", tables)
     v = validate(load_scenario(assets.asset_path("small_crowded.scn")))
     state = init_state(v, 3)
     _, stats = plan_with_stats(state, v, replace(v.planner, uct_iterations=40), substream(3, "plan"))
     assert stats["root_visits"] == 40
     run_episode(v, v.planner, "random", 3)
-    assert len(tables) == 0
+    assert tables.cache_info().currsize == 0
     episodes = run_episode(v, v.planner, "random", 3, collect_events=True)
-    table = tables[v.grid.width]
+    assert tables.cache_info().currsize == 1
+    table = tables(v.grid.width)
     moves = {e.detail for episode in episodes for e in episode.events if e.kind == "moved"}
     assert set(table.values()) == moves
     pairs = {(tile, to_tile) for tile, row in enumerate(v.neighbors) for to_tile in row}

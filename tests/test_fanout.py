@@ -292,6 +292,48 @@ def test_result_the_pipe_cannot_carry_reruns_in_process(forked):
     assert [results[0], results[1](), *results[2:]] == [0, 1, 4, 6]
 
 
+def test_workers_gone_before_the_pipe_drains_leave_the_rest_in_process(forked, monkeypatch):
+    """Workers that exit without reading a task close the pipe's last
+    read end: more 4-byte indices than a 64 KiB pipe holds make the
+    parent's write fail with EPIPE, and the parent runs every task
+    itself, within a time bound."""
+    parent = os.getpid()
+    real_read, real_write, real_fork_tasks = os.read, os.write, fanout._fork_tasks
+    broken = []
+    returned = []
+
+    def exit_in_a_child(fd, size):
+        if os.getpid() != parent:
+            os._exit(0)
+        return real_read(fd, size)
+
+    def recording_write(fd, data):
+        try:
+            return real_write(fd, data)
+        except BrokenPipeError:
+            broken.append(fd)
+            raise
+
+    def recording_fork_tasks(*args):
+        returned.append(real_fork_tasks(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(os, "read", exit_in_a_child)
+    monkeypatch.setattr(os, "write", recording_write)
+    monkeypatch.setattr(fanout, "_fork_tasks", recording_fork_tasks)
+    tasks = [(k,) for k in range(20_000)]
+    previous = signal.signal(signal.SIGALRM, _hung)
+    signal.alarm(60)
+    try:
+        results = fanout.fan_out(lambda k: 2 * k, tasks, lambda k: 1, lambda r: r, lambda r: r)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    # the write failed once, and _fork_tasks returned rather than raised
+    assert forked.forks == 2 and len(broken) == 1 and returned == [{}]
+    assert results == [2 * k for k in range(20_000)]
+
+
 def test_child_dying_inside_a_result_frame_reruns_that_task(forked, monkeypatch):
     """A child that writes only part of a result frame to its file and
     dies loses that one task: the parent runs it itself, reads every

@@ -83,7 +83,7 @@ def test_contact_rows_equal_a_diamond_scan(width, height, data, radius):
     )
     grid = GridMap(width, height, tuple(walkable))
     validated = validate(ScenarioConfig(grid=grid, placements=()))
-    rows = ContactRows(grid, validated.neighbors, radius)
+    rows = ContactRows(grid, radius)
     assert len(rows) == 0
     tiles = [tile for tile in range(width * height) if walkable[tile]]
     for tile in tiles:
@@ -139,7 +139,7 @@ def exposure_cases(draw):
 
 def _assert_scatter_matches(state, params, validated):
     sources = [p for p in state.persons if p.compartment is Compartment.I]
-    rows = ContactRows(validated.grid, validated.neighbors, params.exposure_radius)
+    rows = ContactRows(validated.grid, params.exposure_radius)
     misses = exposure_misses(sources, state, params, rows)
     for person in state.persons:
         if person.compartment is Compartment.S:

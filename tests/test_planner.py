@@ -515,6 +515,25 @@ def test_plan_stats_account_for_every_iteration():
     assert all(row["visits"] >= 1 for row in stats["per_action"])
 
 
+def test_plan_lists_the_root_actions_once(monkeypatch):
+    # the search reuses the list plan_with_stats made to decide whether
+    # there is anything to search; one iteration of one step expands a
+    # root action and lists no other state
+    calls = []
+
+    def counting(state, settings):
+        calls.append(state.step)
+        return available_actions(state, settings)
+
+    monkeypatch.setattr(planner, "available_actions", counting)
+    v = _small_space()
+    state = init_state(v, 0)
+    settings = replace(v.planner, uct_iterations=1, horizon=1)
+    _, stats = plan_with_stats(state, v, settings, substream(3, "plan"))
+    assert stats["root_visits"] == 1
+    assert calls == [0]
+
+
 def test_plan_breaks_visit_ties_by_canonical_order():
     # one iteration per root action gives every child exactly one visit,
     # so the choice falls to the first action in canonical order
@@ -569,7 +588,8 @@ def test_quiescent_root_replay_equals_the_search(root):
     v, state, settings = root
     searched = SearchNode()
     with patch.object(planner, "_quiescent", return_value=False):
-        _search(searched, state, v, settings, substream(0, "plan"))
+        actions = available_actions(state, settings)
+        _search(searched, actions, state, v, settings, substream(0, "plan"))
     expected = _recommend(searched)
     got = plan_with_stats(state, v, settings, substream(0, "plan"))
     assert got == expected

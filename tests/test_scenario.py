@@ -307,6 +307,10 @@ def test_density_examples():
     assert math.isclose(density(v), 12 / 32)
     empty = validate(parse_scenario("[grid]\n...\n"))
     assert density(empty) == 0.0
+    # a person on every walkable tile is the most a room can hold
+    full = validate(parse_scenario("[grid]\nSS\nI#\n"))
+    assert full.population == full.walkable_count == 3
+    assert density(full) == 1.0
 
 
 # ---------------------------------------------------------------------------
