@@ -203,15 +203,13 @@ class PersonState:
     ``position`` are read from it through the grid ``width``, which
     :func:`init_state` sets once. A move writes ``tile`` alone. A living
     person is masked exactly while the state's mask mandate is active
-    and ``mask_refuser`` is false."""
+    and the state's ``mask_refusers`` does not name them."""
 
     id: int
     compartment: Compartment
     tile: int
     width: int
     vaccinated: bool = False
-    mask_refuser: bool = False
-    vax_refuser: bool = False
 
     @property
     def x(self) -> int:
@@ -233,8 +231,6 @@ class PersonState:
             self.tile,
             self.width,
             self.vaccinated,
-            self.mask_refuser,
-            self.vax_refuser,
         )
 
 
@@ -245,6 +241,9 @@ class SimState:
     ``persons`` is indexed by person id. ``occupant`` is indexed by tile
     index and holds the id of the person on the tile, or -1 (deceased
     persons included, since they keep blocking their tile).
+    ``mask_refusers`` and ``vax_refusers``, indexed by person id, are
+    the episode's compliance: :func:`init_state` draws them, no step
+    changes them, and a clone shares them.
     ``action_costs`` accumulates the (non-positive) cost of every action
     applied so far. The occupancy map is a read-only property computed in
     O(N), so no hot path reads it. No infection or death total is kept:
@@ -255,6 +254,8 @@ class SimState:
     step: int
     persons: list[PersonState]
     occupant: list[int]
+    mask_refusers: tuple[bool, ...]
+    vax_refusers: tuple[bool, ...]
     mask_mandate_active: bool = False
     action_costs: float = 0.0
 
@@ -269,6 +270,8 @@ class SimState:
             self.step,
             [p.clone() for p in self.persons],
             self.occupant[:],
+            self.mask_refusers,
+            self.vax_refusers,
             self.mask_mandate_active,
             self.action_costs,
         )
@@ -277,38 +280,30 @@ class SimState:
 def init_state(validated: ValidatedScenario, seed: int) -> SimState:
     """Create the step-0 state for a validated scenario.
 
-    Compliance is decided here, once per person: refuser flags are drawn
-    in ascending person-id order from the dedicated ``init`` stream of
-    ``seed`` and never re-rolled. Pre-vaccinated persons are vaccinated
-    from the start and never refusers.
+    Compliance is decided here, once per episode: each person's mask and
+    then vaccination refusal is drawn, in ascending person-id order, from
+    the dedicated ``init`` stream of ``seed`` into the state's
+    ``mask_refusers`` and ``vax_refusers``, and never re-rolled.
+    Pre-vaccinated persons are vaccinated from the start and never
+    refusers.
     """
     params = validated.params
     width = validated.grid.width
     rng = substream(seed, "init")
     persons: list[PersonState] = []
+    mask_refusers: list[bool] = []
+    vax_refusers: list[bool] = []
     occupant = [-1] * len(validated.neighbors)
     for pl in validated.placements:
-        mask_refuser = rng.random() < params.mask_noncompliance
-        vax_refuser = rng.random() < params.vax_noncompliance
-        compartment = LETTER_TO_COMPARTMENT[pl.compartment]
-        vaccinated = pl.pre_vaccinated
-        if vaccinated:
-            vax_refuser = False
+        mask_refusers.append(rng.random() < params.mask_noncompliance)
+        refuses_vaccine = rng.random() < params.vax_noncompliance
+        vax_refusers.append(refuses_vaccine and not pl.pre_vaccinated)
         x, y = pl.position
         tile = y * width + x
-        persons.append(
-            PersonState(
-                pl.person_id,
-                compartment,
-                tile,
-                width,
-                vaccinated,
-                mask_refuser,
-                vax_refuser,
-            )
-        )
+        compartment = LETTER_TO_COMPARTMENT[pl.compartment]
+        persons.append(PersonState(pl.person_id, compartment, tile, width, pl.pre_vaccinated))
         occupant[tile] = pl.person_id
-    return SimState(0, persons, occupant, False, 0.0)
+    return SimState(0, persons, occupant, tuple(mask_refusers), tuple(vax_refusers))
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +359,7 @@ def exposure_misses(
     """
     persons = state.persons
     occupant = state.occupant
+    mask_refusers = state.mask_refusers
     beta_k = params.beta * params.k
     mask_sus_mult = params.mask_sus_mult
     vax_protection = params.vax_protection
@@ -371,7 +367,7 @@ def exposure_misses(
     mandate = state.mask_mandate_active
     misses: dict[int, float] = {}
     for src in sources:
-        src_masked = mandate and not src.mask_refuser
+        src_masked = mandate and not mask_refusers[src.id]
         for d, tiles in rows[src.tile]:
             for tile in tiles:
                 tid = occupant[tile]
@@ -380,7 +376,7 @@ def exposure_misses(
                 target = persons[tid]
                 if target.compartment is not _S:
                     continue
-                susceptibility = mask_sus_mult if mandate and not target.mask_refuser else 1.0
+                susceptibility = mask_sus_mult if mandate and not mask_refusers[tid] else 1.0
                 if target.vaccinated:
                     susceptibility *= vax_protection
                 attempt = (beta_k / d) * susceptibility
@@ -392,8 +388,9 @@ def exposure_misses(
 
 def death_probability_on_exit(person: PersonState, params: EpiParams) -> float:
     """Probability of dying, given the person leaves the infectious
-    compartment this step. Vaccination scales it down; the survivor
-    recovers, so the recovery share is renormalized implicitly."""
+    compartment this step. Vaccination scales it down. Whoever leaves
+    and does not die recovers, so the recovery share is one minus this;
+    ``gamma`` is not read."""
     if person.vaccinated:
         return params.mu * params.vax_protection
     return params.mu
@@ -541,8 +538,8 @@ NOOP = Action(ActionKind.NOOP)
 MANDATE_MASKS = Action(ActionKind.MANDATE_MASKS)
 
 _vaccinate_cache: dict[int, Action] = {}
-# Every id below this mark is in _vaccinate_cache.
-_interned_below = 0
+# vaccinate(i) at index i, for every id below its length
+_vaccinations: list[Action] = []
 
 
 def vaccinate(person_id: int) -> Action:
@@ -552,13 +549,6 @@ def vaccinate(person_id: int) -> Action:
         action = Action(ActionKind.VACCINATE, person_id)
         _vaccinate_cache[person_id] = action
     return action
-
-
-def _intern_ids_below(n: int) -> None:
-    global _interned_below
-    for person_id in range(_interned_below, n):
-        vaccinate(person_id)
-    _interned_below = n
 
 
 def available_actions(state: SimState, settings: PlannerSettings) -> list[Action]:
@@ -577,9 +567,9 @@ def available_actions(state: SimState, settings: PlannerSettings) -> list[Action
         actions.append(MANDATE_MASKS)
     if settings.vaccines_available:
         persons = state.persons
-        if len(persons) > _interned_below:
-            _intern_ids_below(len(persons))
-        interned = _vaccinate_cache
+        interned = _vaccinations
+        if len(persons) > len(interned):
+            interned.extend(map(vaccinate, range(len(interned), len(persons))))
         for p in persons:
             if not p.vaccinated and (p.compartment is _S or p.compartment is _R):
                 actions.append(interned[p.id])
@@ -608,10 +598,11 @@ def apply_action_inplace(
         state.mask_mandate_active = True
         state.action_costs += settings.cost_mask_action
         if events is not None:
+            refusers = state.mask_refusers
             for p in state.persons:
                 if p.compartment is _D:
                     continue
-                if p.mask_refuser:
+                if refusers[p.id]:
                     events.append(StepEvent(step_no, COMPLIANCE_REFUSAL, p.id, "mask_mandate"))
                 else:
                     events.append(StepEvent(step_no, MASKED, p.id))
@@ -632,7 +623,7 @@ def apply_action_inplace(
         )
     # a refusal still consumes the step and the action cost
     state.action_costs += settings.cost_vax_action
-    if person.vax_refuser:
+    if state.vax_refusers[pid]:
         if events is not None:
             events.append(StepEvent(step_no, COMPLIANCE_REFUSAL, pid, "vaccination"))
         return

@@ -113,7 +113,8 @@ def _fork_tasks(job: Callable, order: list[int], workers: int) -> dict[int, obje
         os.close(task_w)  # the children read EOF once the pipe drains
         owned.discard(task_w)
         while children:
-            os.waitpid(children.pop(), 0)
+            os.waitpid(children[-1], 0)  # an interrupt here leaves it to the finally
+            children.pop()
         files = [os.pread(out, os.fstat(out).st_size, 0) for out in outs]
     finally:
         for fd in owned:

@@ -7,8 +7,11 @@ Two independent routes:
   including its quirks (the inflow to E omits the infectious factor, and
   the death outflow is written against the recovery complement), so it
   does not conserve population. The ``conserving`` mode is the corrected
-  system whose flows mirror the simulator: exposure scales with I, and
-  leaving I splits into recovery (gamma) and death (mu).
+  system: exposure scales with I, and leaving I splits into recovery
+  (gamma) and death (mu). Its flows are not the simulator's: the kernel
+  sends an exposed person who does not become infectious back to S,
+  keeps an infectious one with probability ``infected_persistence``,
+  and never reads gamma.
 
 * Exact outcome enumeration for tiny static scenarios: with movement
   disabled, per-person transitions are independent given the current

@@ -364,8 +364,8 @@ def _pack_round(result: EpisodeResult) -> tuple:
     """``result`` as the plain ``marshal`` data a fan-out worker writes:
     no enum and no named tuple. :func:`_unpack_round` rebuilds an equal
     result with the same ``repr``. Each person crosses as ``(id,
-    compartment, tile, width, flags...)`` and the occupant list crosses
-    whole."""
+    compartment, tile, width, vaccinated)``; the occupant list and the
+    two refuser tuples cross whole."""
     step, persons, *state = astuple(result.final_state)
     persons = [(pid, int(c), *fields) for pid, c, *fields in persons]
     rows = [astuple(row) for row in result.trajectory.rows]

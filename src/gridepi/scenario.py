@@ -316,8 +316,9 @@ class EpiParams:
 
     ``beta`` is the per-contact transmission probability at distance 1,
     ``k`` the contact scale divided by Manhattan distance, ``sigma`` the
-    exposed-to-infectious probability, ``gamma``/``mu`` the recovery and
-    death splits on leaving the infectious compartment, and
+    exposed-to-infectious probability, ``mu`` the death probability on
+    leaving the infectious compartment (the others recover), ``gamma``
+    the recovery rate of the ODE oracle, which alone reads it, and
     ``infected_persistence`` the per-step probability of remaining
     infectious. Mask multipliers scale transmission when the susceptible
     or infectious side is masked; ``vax_protection`` multiplies both the
@@ -727,7 +728,8 @@ def validate(config: ScenarioConfig) -> ValidatedScenario:
     total_exit = config.params.gamma + config.params.mu
     if abs(total_exit - 1.0) > 1e-9:
         warnings.append(
-            f"gamma + mu = {total_exit!r}, not 1; recovery/death split is renormalized"
+            f"gamma + mu = {total_exit!r}, not 1; gamma is read only by oracle ode, "
+            "and the simulator's recovery share on leaving I is 1 - mu"
         )
     if not any(pl.compartment == "I" for pl in config.placements):
         warnings.append("no initially infectious person; nothing will spread")

@@ -68,7 +68,8 @@ def gather_exposure_probability(target, state, params) -> float:
         raise ValueError("exposure probability is defined for susceptible persons")
     radius = params.exposure_radius
     mandate = state.mask_mandate_active
-    susceptibility = params.mask_sus_mult if mandate and not target.mask_refuser else 1.0
+    refusers = state.mask_refusers
+    susceptibility = params.mask_sus_mult if mandate and not refusers[target.id] else 1.0
     if target.vaccinated:
         susceptibility *= params.vax_protection
     beta_k = params.beta * params.k
@@ -80,7 +81,7 @@ def gather_exposure_probability(target, state, params) -> float:
             d = abs(src.x - tx) + abs(src.y - ty)
             if 1 <= d <= radius:
                 attempt = (beta_k / d) * susceptibility
-                if mandate and not src.mask_refuser:
+                if mandate and not refusers[src.id]:
                     attempt *= inf_mult
                 miss *= 1.0 - attempt
     return 1.0 - miss

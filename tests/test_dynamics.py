@@ -11,7 +11,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -23,6 +23,7 @@ from gridepi import assets, dynamics, fanout
 from gridepi.dynamics import (
     Compartment,
     PersonState,
+    SimState,
     StepEvent,
     TRAJECTORY_HEADER,
     Trajectory,
@@ -87,31 +88,50 @@ def test_init_refusers_deterministic():
     v = validate(load_scenario(assets.asset_path("small_crowded.scn")))
     a = init_state(v, 42)
     b = init_state(v, 42)
-    assert [p.mask_refuser for p in a.persons] == [p.mask_refuser for p in b.persons]
-    assert [p.vax_refuser for p in a.persons] == [p.vax_refuser for p in b.persons]
+    assert a.mask_refusers == b.mask_refusers
+    assert a.vax_refusers == b.vax_refusers
 
 
 def test_init_zero_noncompliance_means_no_refusers():
     v = _validated("[grid]\nSSSI\n\n[params]\nmask_noncompliance=0.0\nvax_noncompliance=0.0\n")
     for seed in range(30):
         state = init_state(v, seed)
-        assert not any(p.mask_refuser for p in state.persons)
-        assert not any(p.vax_refuser for p in state.persons)
+        assert state.mask_refusers == (False,) * len(state.persons)
+        assert state.vax_refusers == (False,) * len(state.persons)
 
 
 def test_init_full_noncompliance_marks_everyone():
     v = _validated("[grid]\nSSSI\n\n[params]\nmask_noncompliance=1.0\nvax_noncompliance=1.0\n")
     state = init_state(v, 5)
-    assert all(p.mask_refuser for p in state.persons)
-    assert all(p.vax_refuser for p in state.persons)
+    assert state.mask_refusers == (True,) * len(state.persons)
+    assert state.vax_refusers == (True,) * len(state.persons)
 
 
 def test_init_pre_vaccinated():
     v = _validated("[grid]\nVI\n\n[params]\nvax_noncompliance=1.0\n")
     state = init_state(v, 1)
     assert state.persons[0].vaccinated
-    assert not state.persons[0].vax_refuser
+    assert not state.vax_refusers[0]
     assert state.persons[0].compartment is Compartment.S
+
+
+def test_compliance_is_held_once_by_the_state():
+    """Refusals are episode facts, held by the state in two tuples indexed
+    by person id: a person carries no flag, no state is built without
+    them, and a clone or a stepped copy shares the same tuples."""
+    names = [f.name for f in fields(PersonState)]
+    assert names == ["id", "compartment", "tile", "width", "vaccinated"]
+    with pytest.raises(TypeError):
+        SimState(0, [], [])
+    v = validate(load_scenario(assets.asset_path("small_crowded.scn")))
+    state = init_state(v, 42)
+    assert len(state.mask_refusers) == len(state.vax_refusers) == v.population
+    clone = state.clone()
+    assert clone.mask_refusers is state.mask_refusers
+    assert clone.vax_refusers is state.vax_refusers
+    after, _ = step(state, NOOP, v, substream(42, "env"))
+    assert after.mask_refusers is state.mask_refusers
+    assert after.vax_refusers is state.vax_refusers
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +252,8 @@ def _two_person_state(source_masked=False, target_masked=False, target_vaccinate
     v = _validated("[grid]\nSI\n\n[params]\np_mv=0.0\n")
     state = init_state(v, 0)
     state.mask_mandate_active = source_masked or target_masked
-    state.persons[0].mask_refuser = not target_masked
+    state.mask_refusers = (not target_masked, not source_masked)
     state.persons[0].vaccinated = target_vaccinated
-    state.persons[1].mask_refuser = not source_masked
     return state, v.params
 
 

@@ -12,6 +12,7 @@ outlives it.
 
 from __future__ import annotations
 
+import contextlib
 import importlib
 import os
 import signal
@@ -158,6 +159,45 @@ def test_task_failing_everywhere_exits_one(forked, monkeypatch, capsys):
     assert code == EXIT_USAGE
     assert capsys.readouterr().err == "error: no room for this episode\n"
     assert forked.forks == 2
+
+
+def test_interrupted_wait_kills_and_reaps_every_worker(forked, monkeypatch):
+    """A Ctrl-C while the parent waits for a worker propagates, and every
+    forked worker is killed and reaped on the way out, the one being
+    waited for included: none is left running or unreaped."""
+    real_fork, real_waitpid = os.fork, os.waitpid
+    forked_pids = []
+    interrupted = []
+
+    def recording_fork():
+        pid = real_fork()
+        if pid:
+            forked_pids.append(pid)
+        return pid
+
+    def interrupted_once(pid, options):
+        if not interrupted:
+            interrupted.append(pid)
+            raise KeyboardInterrupt
+        return real_waitpid(pid, options)
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(os, "waitpid", interrupted_once)
+    with pytest.raises(KeyboardInterrupt):
+        fanout.fan_out(lambda k: 2 * k, [(k,) for k in range(4)], lambda k: 1, lambda r: r, lambda r: r)
+    left = []
+    for pid in forked_pids:
+        try:
+            real_waitpid(pid, os.WNOHANG)
+        except ChildProcessError:
+            continue  # reaped
+        left.append(pid)
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(pid, signal.SIGKILL)
+        with contextlib.suppress(ChildProcessError):
+            real_waitpid(pid, 0)
+    assert forked.forks == 2 and len(forked_pids) == 2 and interrupted
+    assert left == []
 
 
 class Hung(Exception):

@@ -123,9 +123,11 @@ def exposure_cases(draw):
     validated = validate(parse_scenario("[grid]\n" + "\n".join(rows) + "\n"))
     state = init_state(validated, 0)
     state.mask_mandate_active = draw(st.booleans())
+    mask_refusers = []
     for person in state.persons:
-        person.mask_refuser = draw(st.booleans())
+        mask_refusers.append(draw(st.booleans()))
         person.vaccinated = draw(st.booleans())
+    state.mask_refusers = tuple(mask_refusers)
     params = EpiParams(
         beta=draw(unit),
         k=draw(st.floats(min_value=1e-3, max_value=1.0)),
@@ -165,8 +167,7 @@ def test_scattered_exposure_many_masked_sources_around_one_target():
     )
     state = init_state(validated, 0)
     state.mask_mandate_active = True
-    for person in state.persons:
-        person.mask_refuser = person.id == 9
+    state.mask_refusers = tuple(person.id == 9 for person in state.persons)
     target = next(p for p in state.persons if p.compartment is Compartment.S)
     target.vaccinated = True
     for radius in (1, 2, 3):

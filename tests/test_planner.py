@@ -89,6 +89,14 @@ def test_action_canonical_order():
 def test_vaccinate_is_interned():
     assert vaccinate(2) is vaccinate(2)
     assert vaccinate(2) == Action(ActionKind.VACCINATE, 2)
+    # available_actions lists the interned objects, also for ids above
+    # any that an earlier, smaller state listed
+    settings_ = PlannerSettings(vaccines_available=True)
+    for n in (3, 97):
+        state = init_state(validate(parse_scenario("[grid]\n" + "S" * n + "\n")), 0)
+        listed = [a for a in available_actions(state, settings_) if a.kind is ActionKind.VACCINATE]
+        assert listed == [Action(ActionKind.VACCINATE, i) for i in range(n)]
+        assert all(a is vaccinate(a.person_id) for a in listed)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +285,7 @@ def test_double_vaccination_is_illegal():
 def test_npi_flags_survive_steps():
     v = _validated("[grid]\nS.I\n\n[params]\nmask_noncompliance=0.0\nvax_noncompliance=0.0\n")
     state = init_state(v, 0)
-    refusers = [p.mask_refuser for p in state.persons]
+    refusers = state.mask_refusers
     env = substream(0, "env")
     state, _ = step(state, MANDATE_MASKS, v, env)
     state, _ = step(state, vaccinate(0), v, env)
@@ -285,7 +293,7 @@ def test_npi_flags_survive_steps():
         state, _ = step(state, NOOP, v, env)
         assert state.mask_mandate_active
         assert state.persons[0].vaccinated
-        assert [p.mask_refuser for p in state.persons] == refusers
+        assert state.mask_refusers == refusers
 
 
 # ---------------------------------------------------------------------------
