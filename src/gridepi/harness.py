@@ -45,25 +45,27 @@ Room-level infections are summed and divided by N_est to get the
 school-level prediction, which is compared against the reported true
 positivity.
 
-Every round of every run of every variation of every section is one
-planner round that depends on no other, so :func:`run_experiments` and
-:func:`simulate_schools` map all of a file's rounds through the
-planner's round function in one batch, which :mod:`gridepi.fanout` runs
-on every CPU this process may run on when the batch's search pays for a
-fork, longest rounds first. One batch per file leaves no core idle at
-the end of each section. :func:`run_experiment` and
-:func:`simulate_school` are the one-section case. The rows are built per
-section from that section's rounds, in file order: the output is
-byte-identical for any CPU count, and ``taskset -c 0`` runs the rounds
-serially.
+Every run of every variation of every section is one planner run that
+depends on no other, so :func:`run_experiments` and
+:func:`simulate_schools` hand all of a file's runs to the planner in one
+batch. The planner alone splits each run into its rounds, and
+:mod:`gridepi.fanout` runs them on every CPU this process may run on
+when the batch's search pays for a fork, longest rounds first. One batch
+per file leaves no core idle at the end of each section.
+:func:`run_experiment` and :func:`simulate_school` are the one-section
+case. The batch's trajectories come back in run-then-round order, and
+each section's rows take their own from the front, in file order: the
+output is byte-identical for any CPU count, and ``taskset -c 0`` runs
+the rounds serially.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 from .dynamics import (
     FieldTable,
@@ -72,7 +74,7 @@ from .dynamics import (
     rows_to_csv,
     rows_to_json,
 )
-from .planner import _play_rounds
+from .planner import _play_runs
 from .rng import stable_seed
 from .scenario import (
     EpiParams,
@@ -348,72 +350,54 @@ def parse_benchmark_file(path: str | Path) -> list[SchoolBenchmarkSpec]:
 # ---------------------------------------------------------------------------
 
 
-# one planner round: (scenario, one-round settings, "planner", round seed)
-Task = tuple[ValidatedScenario, PlannerSettings, str, int]
-
-
 def _variation_runs(
     validated: ValidatedScenario,
     variations: tuple[tuple[bool, bool], ...],
     seed: int,
     label: str,
     count: int,
-) -> list[Task]:
-    """The one-round tasks of ``count`` runs of every variation, ordered
-    by variation, then run, then round.
+) -> list[tuple]:
+    """The planner runs of ``count`` runs of every variation, ordered by
+    variation, then run.
 
-    Run i of variation v is seeded with stable_seed(seed, label, v, i)
-    and its round r with that seed + r, as :func:`run_episode` seeds a
-    multi-round run; so adding runs or variations never perturbs
-    existing ones, and no task depends on the order the tasks execute
-    in. Each variation enables its interventions on top of
-    ``validated.planner`` and runs the embedded planner; with no
-    intervention enabled, noop is its only legal action, which it
-    returns without drawing.
+    Run i of variation v is seeded with stable_seed(seed, label, v, i),
+    so adding runs or variations never perturbs existing ones, and no
+    run depends on the order the runs execute in; the planner seeds the
+    run's rounds from it. Each variation enables its interventions on
+    top of ``validated.planner``, keeping its rounds, and runs the
+    embedded planner; with no intervention enabled, noop is its only
+    legal action, which it returns without drawing.
     """
-    tasks: list[Task] = []
+    runs = []
     for v_index, (masks, vaccines) in enumerate(variations):
-        settings = replace(
-            validated.planner, masks_available=masks, vaccines_available=vaccines, rounds=1
-        )
+        settings = replace(validated.planner, masks_available=masks, vaccines_available=vaccines)
         for i in range(count):
-            run_seed = stable_seed(seed, label, v_index, i)
-            tasks.extend(
-                (validated, settings, "planner", run_seed + r)
-                for r in range(validated.planner.rounds)
-            )
-    return tasks
+            runs.append((validated, settings, "planner", stable_seed(seed, label, v_index, i)))
+    return runs
 
 
-def _chunks(items: list, size: int) -> list[list]:
-    return [items[k : k + size] for k in range(0, len(items), size)]
+def _play_batch(studies: list[tuple[list[tuple], Callable]]) -> list:
+    """Play the runs of every ``(runs, rows)`` study in one
+    :func:`_play_runs` batch, then build each study's rows, in study
+    order, from one shared iterator over the batch's trajectories: each
+    study takes its own rounds from the front."""
+    episodes = _play_runs([run for runs, _ in studies for run in runs])
+    trajectories = (episode.trajectory for episode in episodes)
+    return [row for _, build in studies for row in build(trajectories)]
 
 
-def _play_batch(studies: list[tuple[list[Task], Callable]]) -> list:
-    """Play the tasks of every ``(tasks, rows)`` study in one
-    :func:`_play_rounds` batch, then build each study's rows from its
-    own episodes, in study order."""
-    episodes = _play_rounds([task for tasks, _ in studies for task in tasks])
-    rows: list = []
-    start = 0
-    for tasks, build in studies:
-        rows.extend(build(episodes[start : start + len(tasks)]))
-        start += len(tasks)
-    return rows
-
-
-def _experiment(spec: ExperimentSpec, default_seed: int) -> tuple[list[Task], Callable]:
-    """The rounds of one experiment and the function that turns their
-    episodes into its rows (see :func:`_variation_runs` for the seeds)."""
+def _experiment(spec: ExperimentSpec, default_seed: int) -> tuple[list[tuple], Callable]:
+    """The runs of one experiment and the function that turns their
+    trajectories into its rows (see :func:`_variation_runs` for the seeds)."""
     seed = spec.seed if spec.seed is not None else default_seed
     validated = validate(spec.scenario)
     n = validated.population
-    tasks = _variation_runs(validated, spec.variations, seed, spec.label, spec.runs)
+    runs = _variation_runs(validated, spec.variations, seed, spec.label, spec.runs)
 
-    def rows(episodes: list) -> list[RunMetrics]:
-        cells = _chunks([e.trajectory for e in episodes], spec.runs * validated.planner.rounds)
+    def rows(batch: Iterator[Trajectory]) -> list[RunMetrics]:
         built = []
-        for (masks, vaccines), trajectories in zip(spec.variations, cells):
+        for masks, vaccines in spec.variations:
+            trajectories = list(islice(batch, spec.runs * validated.planner.rounds))
             positivity = [100.0 * t.final.cum_infections / n for t in trajectories]
             deaths = [t.final.d for t in trajectories]
             built.append(
@@ -434,7 +418,7 @@ def _experiment(spec: ExperimentSpec, default_seed: int) -> tuple[list[Task], Ca
             )
         return built
 
-    return tasks, rows
+    return runs, rows
 
 
 def run_experiments(specs: list[ExperimentSpec], default_seed: int) -> list[RunMetrics]:
@@ -491,9 +475,9 @@ def make_classroom(
     )
 
 
-def _school(spec: SchoolBenchmarkSpec, default_seed: int) -> tuple[list[Task], Callable]:
-    """The rounds of one school and the function that turns their
-    episodes into a row per variation.
+def _school(spec: SchoolBenchmarkSpec, default_seed: int) -> tuple[list[tuple], Callable]:
+    """The runs of one school, a run per classroom, and the function
+    that turns their trajectories into a row per variation.
 
     Variation k is reported as ``<name>-MDP-<k+1>``. Every room of a
     variation runs with its own derived seed; the school-level prediction
@@ -503,14 +487,14 @@ def _school(spec: SchoolBenchmarkSpec, default_seed: int) -> tuple[list[Task], C
     n_est = spec.per_room * rooms
     classroom = make_classroom(spec.grid_x, spec.grid_y, spec.per_room, spec.planner)
     validated = validate(classroom)
-    tasks = _variation_runs(validated, spec.variations, default_seed, spec.name, rooms)
+    runs = _variation_runs(validated, spec.variations, default_seed, spec.name, rooms)
 
-    def rows(episodes: list) -> list[BenchmarkMetrics]:
-        room_runs = _chunks([e.trajectory for e in episodes], spec.planner.rounds)
+    def rows(batch: Iterator[Trajectory]) -> list[BenchmarkMetrics]:
         built = []
         for v_index, (masks, vaccines) in enumerate(spec.variations):
             total_infections = 0.0
-            for room in room_runs[v_index * rooms : (v_index + 1) * rooms]:
+            for _ in range(rooms):
+                room = list(islice(batch, spec.planner.rounds))
                 total_infections += sum(t.final.cum_infections for t in room) / len(room)
             pred = 100.0 * total_infections / n_est
             built.append(
@@ -528,7 +512,7 @@ def _school(spec: SchoolBenchmarkSpec, default_seed: int) -> tuple[list[Task], C
             )
         return built
 
-    return tasks, rows
+    return runs, rows
 
 
 def simulate_schools(

@@ -309,17 +309,15 @@ def run_episode(
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
-    logs = (collect_events, collect_decisions)
-    rounds = [(validated, settings, policy, seed + r, *logs) for r in range(settings.rounds)]
-    return _play_rounds(rounds)
+    return _play_runs([(validated, settings, policy, seed, collect_events, collect_decisions)])
 
 
 def _play_round(
     validated: ValidatedScenario, settings: PlannerSettings, policy: str, seed: int,
     collect_events: bool = False, collect_decisions: bool = False,
 ) -> EpisodeResult:
-    """One round of :func:`run_episode`, seeded with ``seed``; it reads
-    no other round's streams. The harness plays its rounds with it too."""
+    """One round of a run, seeded with ``seed``; it reads no other
+    round's streams and not ``settings.rounds``."""
     env_rng = substream(seed, "env")
     plan_rng = substream(seed, "plan")
     state = init_state(validated, seed)
@@ -353,10 +351,18 @@ def _round_cost(validated: ValidatedScenario, settings: PlannerSettings, policy:
     return 0
 
 
-def _play_rounds(tasks: list[tuple]) -> list[EpisodeResult]:
-    """``[_play_round(*task) for task in tasks]`` through :func:`fanout.fan_out`,
-    in forked workers when their summed :func:`_round_cost` pays for it,
-    longest rounds first."""
+def _play_runs(runs: list[tuple]) -> list[EpisodeResult]:
+    """The rounds of every ``(validated, settings, policy, seed, *logs)``
+    run, in run-then-round order, round r of a run seeded with its seed
+    + r: the one place a run becomes rounds. They go through one
+    :func:`fanout.fan_out` batch of :func:`_play_round` tasks, in forked
+    workers when their summed :func:`_round_cost` pays for it, longest
+    rounds first."""
+    tasks = [
+        (validated, settings, policy, seed + r, *logs)
+        for validated, settings, policy, seed, *logs in runs
+        for r in range(settings.rounds)
+    ]
     return fanout.fan_out(_play_round, tasks, _round_cost, _pack_round, _unpack_round)
 
 

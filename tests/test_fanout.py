@@ -420,7 +420,7 @@ def test_workers_serve_a_caller_from_an_earlier_import(forked, monkeypatch):
         for name in earlier:
             del sys.modules[name]
         assert importlib.import_module("gridepi.planner") is not planner
-        episodes = planner._play_rounds(tasks)
+        episodes = planner._play_runs(tasks)
     finally:
         for name in [name for name in sys.modules if name.split(".")[0] == "gridepi"]:
             del sys.modules[name]
@@ -428,7 +428,7 @@ def test_workers_serve_a_caller_from_an_earlier_import(forked, monkeypatch):
     assert forked.forks == 2 and forked.parent_tasks == 0
     assert {type(episode) for episode in episodes} == {planner.EpisodeResult}
     monkeypatch.setattr(fanout, "FORK_MIN_BUDGET", 10**9)
-    _assert_same(episodes, planner._play_rounds(tasks))
+    _assert_same(episodes, planner._play_runs(tasks))
 
 
 # ---------------------------------------------------------------------------
@@ -575,8 +575,8 @@ def test_study_and_bundled_room_batches_fork(name, monkeypatch):
 
 
 def _mixed_rounds() -> list:
-    """Planner rounds in two rooms, some with an intervention and some
-    without, so their costs differ and some are 0, plus a random round."""
+    """One-round planner runs in two rooms, some with an intervention and
+    some without, so their costs differ and some are 0, plus a random run."""
     tasks = []
     for room in ("small_space.scn", "small_crowded.scn"):
         validated = validate(load_scenario(asset_path(room)))
@@ -612,11 +612,11 @@ def test_dispatch_order_never_changes_a_result(reverse, forked, monkeypatch):
         return real_fork_tasks(job, order, workers)
 
     monkeypatch.setattr(fanout, "_fork_tasks", recording)
-    episodes = planner._play_rounds(tasks)
+    episodes = planner._play_runs(tasks)
     assert sent == [order]
     assert forked.forks == 2 and forked.parent_tasks == 0
     monkeypatch.setattr(fanout, "FORK_MIN_BUDGET", 10**9)
-    _assert_same(episodes, planner._play_rounds(tasks))
+    _assert_same(episodes, planner._play_runs(tasks))
     assert forked.parent_tasks == len(tasks)
 
 
@@ -656,12 +656,29 @@ def test_one_batch_command_equals_its_sections_run_alone(tmp_path, forked):
     assert len(both.splitlines()) == 1 + 2 + 1
 
 
-def test_task_list_splits_runs_into_rounds():
+def test_variation_runs_are_whole_runs():
+    """The harness hands the planner one run per variation and run, with
+    the run's own seed and the scenario's own rounds."""
     validated = validate(harness.make_classroom(3, 3, 3, PlannerSettings(rounds=3)))
-    tasks = harness._variation_runs(validated, ((False, False), (True, True)), 9, "x", 2)
-    assert len(tasks) == 2 * 2 * 3
-    base = harness.stable_seed(9, "x", 1, 1)
-    assert [seed for _, _, _, seed in tasks[9:]] == [base, base + 1, base + 2]
-    assert {s.rounds for _, s, _, _ in tasks} == {1}
-    assert {policy for _, _, policy, _ in tasks} == {"planner"}
-    assert tasks[-1][1] == replace(validated.planner, rounds=1)
+    runs = harness._variation_runs(validated, ((False, False), (True, True)), 9, "x", 2)
+    assert [seed for _, _, _, seed in runs] == [
+        harness.stable_seed(9, "x", v, i) for v in range(2) for i in range(2)
+    ]
+    assert {s.rounds for _, s, _, _ in runs} == {3}
+    assert {policy for _, _, policy, _ in runs} == {"planner"}
+    assert runs[0][1] == replace(validated.planner, masks_available=False, vaccines_available=False)
+    assert runs[-1][1] == validated.planner
+
+
+def test_play_runs_seeds_round_r_of_a_run_with_its_seed_plus_r():
+    """Two 3-round runs become six rounds in run-then-round order, round
+    r of a run seeded with the run's seed + r; no two rounds come out
+    alike, so any other seeding shows."""
+    settings = PlannerSettings(rounds=3, horizon=4, uct_iterations=10)
+    validated = validate(harness.make_classroom(3, 3, 3, settings))
+    runs = [(validated, settings, "planner", 11), (validated, settings, "random", 40)]
+    expected = [
+        planner._play_round(v, s, p, seed + r) for v, s, p, seed in runs for r in range(3)
+    ]
+    assert len({repr(episode) for episode in expected}) == 6
+    _assert_same(planner._play_runs(runs), expected)

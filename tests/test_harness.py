@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from gridepi import assets, planner
+from gridepi import assets, fanout, planner
 from gridepi.harness import (
     BENCHMARK_CSV_HEADER,
     BenchmarkMetrics,
@@ -26,6 +26,7 @@ from gridepi.harness import (
     simulate_school,
     simulate_schools,
 )
+from gridepi.rng import stable_seed
 from gridepi.scenario import (
     PlannerSettings,
     ScenarioParseError,
@@ -33,6 +34,7 @@ from gridepi.scenario import (
     serialize_scenario,
     validate,
 )
+from test_golden import INPUTS
 
 SMALL_EXP = """\
 [experiment]
@@ -548,6 +550,63 @@ def test_simulate_school_rows():
 def test_simulate_school_is_deterministic():
     assert simulate_school(_tiny_school(), 11) == simulate_school(_tiny_school(), 11)
     assert simulate_school(_tiny_school(), 11) != simulate_school(_tiny_school(), 12)
+
+
+# ---------------------------------------------------------------------------
+# A harness run is a run_episode run
+# ---------------------------------------------------------------------------
+
+
+def test_experiment_cells_hold_run_episode_rounds(tmp_path):
+    """Each cell's trajectories are, run after run, the rounds that
+    run_episode plays for that run's seed: 2 runs x 2 rounds per cell."""
+    (spec,) = parse_experiment_file(_write_spec(tmp_path))
+    validated = validate(spec.scenario)
+    assert spec.runs == validated.planner.rounds == 2
+    rows = run_experiment(spec, 1)
+    for v, ((masks, vaccines), row) in enumerate(zip(spec.variations, rows)):
+        settings = replace(validated.planner, masks_available=masks, vaccines_available=vaccines)
+        expected = [
+            episode.trajectory
+            for i in range(spec.runs)
+            for episode in planner.run_episode(
+                validated, settings, "planner", stable_seed(77, "tiny", v, i)
+            )
+        ]
+        assert list(row.trajectories) == expected
+
+
+def test_school_classrooms_play_run_episode_rounds(monkeypatch):
+    """Each classroom of the tiny golden school, given 2 rounds, plays
+    the rounds run_episode plays for its seed, and the row's prediction
+    is built from them."""
+    (spec,) = parse_benchmark_file(INPUTS / "tiny.bench")
+    spec = replace(spec, planner=replace(spec.planner, rounds=2))
+    batches = []
+    real_fan_out = fanout.fan_out
+
+    def recording_fan_out(*args):
+        batches.append(real_fan_out(*args))
+        return batches[-1]
+
+    monkeypatch.setattr(fanout, "fan_out", recording_fan_out)
+    rows = simulate_school(spec, 5)
+    (batch,) = batches
+    rooms = rooms_for(spec.enrollment, spec.per_room)
+    validated = validate(make_classroom(spec.grid_x, spec.grid_y, spec.per_room, spec.planner))
+    expected = []
+    for v, ((masks, vaccines), row) in enumerate(zip(spec.variations, rows)):
+        settings = replace(spec.planner, masks_available=masks, vaccines_available=vaccines)
+        total_infections = 0.0
+        for i in range(rooms):
+            room = planner.run_episode(
+                validated, settings, "planner", stable_seed(5, spec.name, v, i)
+            )
+            expected += [episode.trajectory for episode in room]
+            total_infections += sum(e.trajectory.final.cum_infections for e in room) / len(room)
+        assert row.pred_pos_pct == 100.0 * total_infections / row.n_est
+    assert [episode.trajectory for episode in batch] == expected
+    assert len(expected) == 2 * rooms * 2
 
 
 # ---------------------------------------------------------------------------
