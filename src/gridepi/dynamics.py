@@ -537,18 +537,14 @@ class Action(NamedTuple):
 NOOP = Action(ActionKind.NOOP)
 MANDATE_MASKS = Action(ActionKind.MANDATE_MASKS)
 
-_vaccinate_cache: dict[int, Action] = {}
 # vaccinate(i) at index i, for every id below its length
 _vaccinations: list[Action] = []
 
 
+@cache
 def vaccinate(person_id: int) -> Action:
     """Vaccination action for one person (instances are cached)."""
-    action = _vaccinate_cache.get(person_id)
-    if action is None:
-        action = Action(ActionKind.VACCINATE, person_id)
-        _vaccinate_cache[person_id] = action
-    return action
+    return Action(ActionKind.VACCINATE, person_id)
 
 
 def available_actions(state: SimState, settings: PlannerSettings) -> list[Action]:

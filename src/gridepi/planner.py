@@ -39,7 +39,6 @@ from .dynamics import (
     ActionKind,
     Compartment,
     IllegalActionError,
-    PersonState,
     SimState,
     StepEvent,
     Trajectory,
@@ -264,7 +263,11 @@ def plan(
 @dataclass
 class EpisodeResult:
     """Outcome of one round: the census trajectory, the episode reward,
-    optional event and planner-decision logs, and the final state.
+    and the optional event and planner-decision logs. The round's final
+    state is not kept: replaying its actions through
+    :func:`~gridepi.dynamics.init_state` and
+    :func:`~gridepi.dynamics.step_inplace` on its environment stream
+    rebuilds it.
 
     ``reward`` is the closed form of the summed step rewards: infections
     count from the initial census, so persons infectious at time zero
@@ -274,7 +277,6 @@ class EpisodeResult:
     reward: float
     events: list[StepEvent]
     decisions: list[dict]
-    final_state: SimState
 
 
 def run_episode(
@@ -339,7 +341,7 @@ def _play_round(
     first, final = trajectory.rows[0], trajectory.final
     new_infections = final.cum_infections - first.cum_infections
     total = reward(settings, new_infections, final.cum_deaths, state.action_costs)
-    return EpisodeResult(trajectory, total, events or [], decisions, state)
+    return EpisodeResult(trajectory, total, events or [], decisions)
 
 
 def _round_cost(validated: ValidatedScenario, settings: PlannerSettings, policy: str, *_) -> int:
@@ -368,24 +370,19 @@ def _play_runs(runs: list[tuple]) -> list[EpisodeResult]:
 
 def _pack_round(result: EpisodeResult) -> tuple:
     """``result`` as the plain ``marshal`` data a fan-out worker writes:
-    no enum and no named tuple. :func:`_unpack_round` rebuilds an equal
-    result with the same ``repr``. Each person crosses as ``(id,
-    compartment, tile, width, vaccinated)``; the occupant list and the
-    two refuser tuples cross whole."""
-    step, persons, *state = astuple(result.final_state)
-    persons = [(pid, int(c), *fields) for pid, c, *fields in persons]
+    its four outputs, each census row and event as a plain tuple.
+    :func:`_unpack_round` rebuilds an equal result with the same
+    ``repr``."""
     rows = [astuple(row) for row in result.trajectory.rows]
     events = [tuple(event) for event in result.events]
-    return rows, result.reward, events, result.decisions, (step, persons, *state)
+    return rows, result.reward, events, result.decisions
 
 
 def _unpack_round(data: tuple) -> EpisodeResult:
-    rows, total, events, decisions, (step, persons, *state) = data
-    persons = [PersonState(pid, Compartment(c), *fields) for pid, c, *fields in persons]
+    rows, total, events, decisions = data
     return EpisodeResult(
         Trajectory([TrajectoryRow(*row) for row in rows]),
         total,
         [_new_event(StepEvent, event) for event in events],
         decisions,
-        SimState(step, persons, *state),
     )

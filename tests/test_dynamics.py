@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gridepi
-from gridepi import assets, dynamics, fanout
+from gridepi import assets, dynamics
 from gridepi.dynamics import (
     Compartment,
     PersonState,
@@ -35,7 +35,7 @@ from gridepi.dynamics import (
     step,
     step_inplace,
 )
-from gridepi.planner import NOOP, plan_with_stats, run_episode
+from gridepi.planner import NOOP, _random_action, plan_with_stats, run_episode
 from gridepi.rng import substream
 from gridepi.scenario import EpiParams, load_scenario, parse_scenario, validate
 from helpers import gather_exposure_probability, random_scenario
@@ -201,10 +201,10 @@ def test_dead_person_blocks_tile():
     assert len(state.occupancy) == 2
 
 
-def test_position_is_read_from_the_tile(monkeypatch):
+def test_position_is_read_from_the_tile():
     """A person's position lives in its tile alone: ``x``, ``y`` and
     ``position`` are read through the width the person carries, so a
-    clone and a round sent back by a forked worker answer them too."""
+    clone answers them too."""
     assert {"tile", "width"} <= set(PersonState.__slots__)
     assert not {"x", "y"} & set(PersonState.__slots__)
     # 12 x 11 with walls, so both coordinates reach two digits
@@ -224,22 +224,6 @@ def test_position_is_read_from_the_tile(monkeypatch):
             assert divmod(p.tile, 12) == (y, x)
             assert (p.x, p.y) == p.position == (x, y)
             assert p.width == 12
-
-    forks = []
-    real_fork = os.fork
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
-    monkeypatch.setattr(fanout, "FORK_MIN_BUDGET", 0)
-    results = run_episode(v, replace(v.planner, horizon=6, rounds=2), "random", 5)
-    assert len(forks) == 2
-    for result in results:
-        final = result.final_state
-        assert [p.width for p in final.persons] == [12] * 5
-        assert final.occupancy == {p.position: p.id for p in final.persons}
-        assert all(v.grid.is_walkable(p.x, p.y) for p in final.persons)
-    assert [p.position for p in results[0].final_state.persons] != [
-        pl.position for pl in v.placements
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -575,11 +559,23 @@ def test_kernel_events_are_step_events():
     "path", [GOLDEN_INPUTS / "crowd_r1.scn", assets.asset_path("small_crowded.scn")]
 )
 def test_moved_events_rebuild_positions(path):
+    """Replaying each round's ``moved`` events onto its initial positions
+    gives the positions and occupancy of a replay of the round:
+    ``init_state`` and ``step_inplace`` on the round's environment
+    stream, with the actions the random policy draws from its planning
+    stream. The replay logs the round's events."""
     v, episodes = _random_episodes(path, 3)
     for r, episode in enumerate(episodes):
-        state = init_state(v, 3 + r)
-        positions = [(p.x, p.y) for p in state.persons]
-        occupancy = dict(state.occupancy)
+        seed = 3 + r
+        replay = init_state(v, seed)
+        positions = [(p.x, p.y) for p in replay.persons]
+        occupancy = dict(replay.occupancy)
+        env, plan = substream(seed, "env"), substream(seed, "plan")
+        events = []
+        for _ in range(v.planner.horizon):
+            action = _random_action(replay, v.planner, plan.getrandbits)
+            step_inplace(replay, action, v, v.planner, env, events)
+        assert events == episode.events
         moves = [e for e in episode.events if e.kind == "moved"]
         assert moves
         for e in moves:
@@ -589,9 +585,8 @@ def test_moved_events_rebuild_positions(path):
             assert (x1, y1) not in occupancy
             positions[e.person_id] = (x1, y1)
             occupancy[(x1, y1)] = e.person_id
-        final = episode.final_state
-        assert positions == [(p.x, p.y) for p in final.persons]
-        assert occupancy == final.occupancy
+        assert positions == [(p.x, p.y) for p in replay.persons]
+        assert occupancy == replay.occupancy
 
 
 def _walled_room(rng, width, height):

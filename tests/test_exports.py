@@ -1,11 +1,14 @@
-"""Every public name a module lists in ``__all__`` exists, and every
-name a module imports is used or listed there."""
+"""Every public name a module lists in ``__all__`` exists, every name a
+module imports is used or listed there, and the package's modules import
+one another without a cycle."""
 
 from __future__ import annotations
 
 import ast
+import graphlib
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -39,3 +42,36 @@ def test_every_imported_name_is_used_or_exported(name):
             imported.update(a.asname or a.name for a in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used - set(getattr(module, "__all__", []))) == []
+
+
+def _sibling_imports() -> dict[str, set[str]]:
+    """The package modules each package module imports, read from its
+    ``from .x import`` and ``from . import x`` lines."""
+    package = Path(gridepi.__file__).parent
+    names = {m.name for m in pkgutil.iter_modules(gridepi.__path__)}
+    graph = {}
+    for name in names:
+        tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+        graph[name] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module:
+                    graph[name].add(node.module.partition(".")[0])
+                else:
+                    graph[name].update(a.name for a in node.names if a.name in names)
+    return graph
+
+
+def test_the_package_import_graph_has_no_cycle():
+    # static_order raises CycleError, naming the cycle, if there is one
+    graph = _sibling_imports()
+    assert set(graphlib.TopologicalSorter(graph).static_order()) == set(graph)
+
+
+@pytest.mark.parametrize("name", ["scenario", "rng", "fanout", "assets"])
+def test_leaf_modules_import_no_sibling(name):
+    assert _sibling_imports()[name] == set()
+
+
+def test_dynamics_imports_only_rng_and_scenario():
+    assert _sibling_imports()["dynamics"] == {"rng", "scenario"}

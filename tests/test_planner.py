@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest.mock import patch
 
 import pytest
@@ -25,6 +25,7 @@ from gridepi.planner import (
     NOOP,
     Action,
     ActionKind,
+    EpisodeResult,
     IllegalActionError,
     SearchNode,
     _quiescent,
@@ -321,15 +322,31 @@ def test_step_inplace_noop_reward_is_zero():
     assert step_inplace(state, NOOP, v, settings, substream(0, "env")) == 0.0
 
 
+def _charged_costs(settings, events) -> float:
+    """The action costs a round charged, summed in step order from its
+    event log: one mask cost per step with mandate events, and one
+    vaccination cost per ``vaccinated`` event or vaccination refusal."""
+    costs = 0.0
+    mandate_steps = set()
+    for e in events:
+        if e.kind == "masked" or e.detail == "mask_mandate":
+            if e.step not in mandate_steps:
+                mandate_steps.add(e.step)
+                costs += settings.cost_mask_action
+        elif e.kind == "vaccinated" or e.detail == "vaccination":
+            costs += settings.cost_vax_action
+    return costs
+
+
 def test_episode_reward_identity():
     # the episode reward must equal the closed form computed from the final
-    # state, with bit-identical floats
+    # census and the costs the event log charges, with bit-identical floats
     v = validate(load_scenario(assets.asset_path("small_crowded.scn")))
     settings = replace(v.planner, rounds=1, uct_iterations=16)
     for seed in (11, 12, 13):
-        (result,) = run_episode(v, settings, "planner", seed)
-        final = result.final_state
-        _, _, i, r, d = census(final)
+        (result,) = run_episode(v, settings, "planner", seed, collect_events=True)
+        final = result.trajectory.final
+        i, r, d = final.i, final.r, final.d
         initial_infections = sum(
             1
             for p in init_state(v, seed).persons
@@ -338,7 +355,7 @@ def test_episode_reward_identity():
         expected = (
             settings.pen_i * (i + r + d - initial_infections)
             + settings.pen_d * d
-            + final.action_costs
+            + _charged_costs(settings, result.events)
         )
         assert result.reward == expected
 
@@ -362,11 +379,14 @@ def test_run_episode_charges_the_handed_costs(policy):
     v = _small_space()
     assert v.planner.cost_mask_action == v.planner.cost_vax_action == 0.0
     settings = replace(v.planner, rounds=3, horizon=6, uct_iterations=16, **HANDED_COSTS)
-    results = run_episode(v, settings, policy, 40)
-    assert any(result.final_state.action_costs < 0 for result in results)
-    for r, result in enumerate(results):
-        start = init_state(v, 40 + r)
-        assert result.reward == _closed_form(settings, start, result.final_state)
+    results = run_episode(v, settings, policy, 40, collect_events=True)
+    costs = [_charged_costs(settings, result.events) for result in results]
+    assert any(charged < 0 for charged in costs)
+    for r, (result, charged) in enumerate(zip(results, costs)):
+        _, _, i0, r0, d0 = census(init_state(v, 40 + r))
+        final = result.trajectory.final
+        infections = final.cum_infections - (i0 + r0 + d0)
+        assert result.reward == reward(settings, infections, final.d - d0, charged)
 
 
 @pytest.mark.parametrize("policy", ["random", "planner"])
@@ -743,6 +763,13 @@ def test_planner_beats_noop_on_average():
 # ---------------------------------------------------------------------------
 
 
+def test_a_round_returns_its_outputs_alone():
+    """A round returns its census trajectory, reward and logs, and no
+    final state: nothing reads one, and a forked round would carry it."""
+    names = tuple(f.name for f in fields(EpisodeResult))
+    assert names == ("trajectory", "reward", "events", "decisions")
+
+
 def test_run_episode_shapes():
     v = _small_space()
     settings = replace(v.planner, rounds=3, horizon=6, uct_iterations=8)
@@ -750,7 +777,7 @@ def test_run_episode_shapes():
     assert len(results) == 3
     for result in results:
         assert len(result.trajectory.rows) == 7
-        assert result.final_state.step == 6
+        assert result.trajectory.final.step == 6
         assert len(result.decisions) == 6
         for entry in result.decisions:
             assert set(entry) >= {"step", "chosen_action", "root_visits", "per_action"}
@@ -807,4 +834,3 @@ def test_population_conserved_through_episode():
     (result,) = run_episode(v, settings, "planner", 99)
     n = v.population
     assert all(row.s + row.e + row.i + row.r + row.d == n for row in result.trajectory.rows)
-    assert sum(census(result.final_state)) == n
