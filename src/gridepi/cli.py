@@ -31,7 +31,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import harness, oracle
-from .dynamics import events_to_jsonl
+from .dynamics import Trajectory, events_to_jsonl
 from .planner import POLICIES, run_episode
 from .scenario import (
     EpiParams,
@@ -167,6 +167,19 @@ def _cmd_simulate(args) -> int:
         collect_events=args.events is not None,
         collect_decisions=args.decisions is not None,
     )
+    # every round's files are written before the first summary line, so
+    # an unwritable path exits 2 with no result on standard output
+    to_text = Trajectory.to_csv if args.format == "csv" else Trajectory.to_json
+    logs = [
+        (args.out, lambda e: to_text(e.trajectory)),
+        (args.events, lambda e: events_to_jsonl(e.events)),
+        (args.decisions, lambda e: "".join(json.dumps(d) + "\n" for d in e.decisions)),
+    ]
+    for index, episode in enumerate(episodes):
+        for base, render in logs:
+            if base is not None:
+                path = Path(_round_path(base, index, settings.rounds))
+                path.write_text(render(episode), encoding="utf-8")
     n = validated.population
     mean_positivity = 0.0
     for index, episode in enumerate(episodes):
@@ -179,18 +192,6 @@ def _cmd_simulate(args) -> int:
             f"infected={final.cum_infections}/{n} ({positivity:.1f}%) "
             f"reward={episode.reward!r}"
         )
-        if args.out is not None:
-            path = _round_path(args.out, index, settings.rounds)
-            trajectory = episode.trajectory
-            text = trajectory.to_csv() if args.format == "csv" else trajectory.to_json()
-            Path(path).write_text(text, encoding="utf-8")
-        if args.events is not None:
-            path = _round_path(args.events, index, settings.rounds)
-            Path(path).write_text(events_to_jsonl(episode.events), encoding="utf-8")
-        if args.decisions is not None:
-            path = _round_path(args.decisions, index, settings.rounds)
-            lines = "".join(json.dumps(entry) + "\n" for entry in episode.decisions)
-            Path(path).write_text(lines, encoding="utf-8")
     print(f"mean positivity over {settings.rounds} rounds: "
           f"{mean_positivity / len(episodes):.1f}%")
     return EXIT_OK

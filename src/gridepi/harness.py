@@ -175,9 +175,10 @@ class ExperimentSpec:
 class RunMetrics:
     """Aggregated outcome of one (scenario, variation) cell.
 
-    ``episode_positivity`` and ``episode_deaths`` keep the per-episode
-    values behind the means, and ``trajectories`` the full census
-    records, so aggregates can be recomputed downstream.
+    ``trajectories`` keeps the full census record of every episode
+    behind the means, so each episode's positivity
+    (``100 * final.cum_infections / n``) and deaths (``final.d``), and
+    the aggregates over them, can be recomputed downstream.
     """
 
     simulation: str
@@ -189,8 +190,6 @@ class RunMetrics:
     density: float
     pred_pos_pct: float
     d_avg: float
-    episode_positivity: tuple[float, ...] = ()
-    episode_deaths: tuple[int, ...] = ()
     trajectories: tuple[Trajectory, ...] = ()
 
 
@@ -411,8 +410,6 @@ def _experiment(spec: ExperimentSpec, default_seed: int) -> tuple[list[tuple], C
                     density=density(validated),
                     pred_pos_pct=sum(positivity) / len(positivity),
                     d_avg=sum(deaths) / len(deaths),
-                    episode_positivity=tuple(positivity),
-                    episode_deaths=tuple(deaths),
                     trajectories=tuple(trajectories),
                 )
             )

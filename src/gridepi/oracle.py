@@ -97,6 +97,9 @@ def _check_step_inputs(
             raise ValueError("compartment values must be finite")
         if value < 0.0:
             raise ValueError(f"compartment {name} must be non-negative, got {value!r}")
+    # finite compartments can still sum past the largest float
+    if not math.isfinite(v.n):
+        raise ValueError(f"population n must be finite, got {v.n!r}")
     for name in ("beta", "sigma", "gamma", "mu"):
         value = getattr(params, name)
         if not math.isfinite(value):

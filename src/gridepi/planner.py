@@ -1,7 +1,9 @@
 """The embedded anytime planner and the episode driver.
 
 The actions themselves live in :mod:`gridepi.dynamics`, which applies
-them at the start of each step; they are re-exported here. The reward
+them at the start of each step. Of their names the planner hands on
+only ``NOOP``, ``ActionKind`` and :func:`available_actions`; every other
+action name is imported from :mod:`gridepi.dynamics`. The reward
 formula lives there too: :func:`~gridepi.dynamics.step_inplace` returns
 each step's reward, and the search adds up what it returns. The legal
 actions of a state are listed only by :func:`available_actions`: the
@@ -33,36 +35,27 @@ from dataclasses import astuple, dataclass, field
 
 from . import fanout
 from .dynamics import (
-    MANDATE_MASKS,
     NOOP,
     Action,
     ActionKind,
     Compartment,
-    IllegalActionError,
     SimState,
     StepEvent,
     Trajectory,
     TrajectoryRow,
     _new_event,
-    apply_action_inplace,
     available_actions,
     init_state,
     reward,
     step_inplace,
-    vaccinate,
 )
 from .rng import randbelow, substream
 from .scenario import PlannerSettings, ValidatedScenario
 
 __all__ = [
-    "Action",
     "ActionKind",
     "NOOP",
-    "MANDATE_MASKS",
-    "vaccinate",
-    "IllegalActionError",
     "available_actions",
-    "apply_action_inplace",
     "SearchNode",
     "plan",
     "plan_with_stats",

@@ -255,6 +255,19 @@ def test_simulate_missing_scenario_exits_two(capsys):
     assert cli_main(["simulate", "/nonexistent/nowhere.scn"]) == EXIT_IO
 
 
+@pytest.mark.parametrize("rounds", ["1", "2"])
+@pytest.mark.parametrize("flag", ["--out", "--events", "--decisions"])
+def test_simulate_unwritable_file_exits_two_before_any_summary(
+    flag, rounds, tmp_path, tiny, capsys
+):
+    path = tmp_path / "missing" / "log.txt"
+    argv = ["simulate", tiny, "--policy", "noop", "--rounds", rounds, flag, str(path)]
+    assert cli_main(argv) == EXIT_IO
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # experiment / benchmark
 # ---------------------------------------------------------------------------
@@ -509,6 +522,14 @@ def test_oracle_ode_checks_dt_without_steps(capsys):
 def test_oracle_ode_rejects_non_finite_inputs(flag, value, message, capsys):
     assert cli_main(["oracle", "ode", flag, value, "--steps", "1"]) == EXIT_USAGE
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_oracle_ode_rejects_a_population_that_overflows(capsys):
+    argv = ["oracle", "ode", "--s0", "1e308", "--i0", "1e308", "--steps", "3"]
+    assert cli_main(argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: population n must be finite, got inf\n"
 
 
 def test_oracle_enumerate_distribution(micro, capsys):

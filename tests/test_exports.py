@@ -1,6 +1,7 @@
 """Every public name a module lists in ``__all__`` exists, every name a
-module imports is used or listed there, and the package's modules import
-one another without a cycle."""
+module imports is used or listed there, the package's modules import
+one another without a cycle, and of the names ``planner`` imports from
+``dynamics`` it lists only three."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import gridepi
+from gridepi import planner
 
 MODULES = ["gridepi"] + [f"gridepi.{m.name}" for m in pkgutil.iter_modules(gridepi.__path__)]
 
@@ -75,3 +77,16 @@ def test_leaf_modules_import_no_sibling(name):
 
 def test_dynamics_imports_only_rng_and_scenario():
     assert _sibling_imports()["dynamics"] == {"rng", "scenario"}
+
+
+def test_planner_hands_on_only_three_action_names():
+    # every other action name has one import path, gridepi.dynamics
+    tree = ast.parse(Path(planner.__file__).read_text(encoding="utf-8"))
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(t.id for t in targets if isinstance(t, ast.Name))
+    assert set(planner.__all__) - defined == {"NOOP", "ActionKind", "available_actions"}

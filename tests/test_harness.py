@@ -467,7 +467,6 @@ def test_run_experiment_rows(tmp_path):
         assert row.total_tiles == 6
         assert row.density == pytest.approx(2 / 6)
         # 2 runs x 2 rounds per variation
-        assert len(row.episode_positivity) == 4
         assert len(row.trajectories) == 4
         assert 0.0 <= row.pred_pos_pct <= 100.0
     assert rows[0].masks is False and rows[1].masks is True
@@ -491,16 +490,12 @@ def test_run_experiment_spec_seed_wins(tmp_path):
 def test_run_experiment_aggregates_are_recomputable(tmp_path):
     (spec,) = parse_experiment_file(_write_spec(tmp_path))
     for row in run_experiment(spec, 3):
-        assert row.pred_pos_pct == sum(row.episode_positivity) / len(
-            row.episode_positivity
-        )
-        assert row.d_avg == sum(row.episode_deaths) / len(row.episode_deaths)
-        for pct, deaths, trajectory in zip(
-            row.episode_positivity, row.episode_deaths, row.trajectories
-        ):
-            final = trajectory.final
-            assert pct == 100.0 * final.cum_infections / row.n
-            assert deaths == final.d
+        finals = [trajectory.final for trajectory in row.trajectories]
+        positivity = [100.0 * final.cum_infections / row.n for final in finals]
+        deaths = [final.d for final in finals]
+        assert row.pred_pos_pct == sum(positivity) / len(positivity)
+        assert row.d_avg == sum(deaths) / len(deaths)
+        for final in finals:
             assert final.step == spec.scenario.planner.horizon
 
 

@@ -176,6 +176,23 @@ def test_non_finite_dt_and_rates_are_named(dt, params, message):
             seird_integrate(V0, params, dt=dt, steps=steps)
 
 
+@pytest.mark.parametrize(
+    "v0",
+    [
+        # finite compartments whose sum overflows: S / n would be 0
+        CompartmentVector.from_counts(1e308, 0.0, 1e308, 0.0, 0.0),
+        CompartmentVector(1.0, 0.0, 1.0, 0.0, 0.0, NAN),
+    ],
+)
+def test_non_finite_population_is_refused(v0):
+    message = "population n must be finite"
+    with pytest.raises(ValueError, match=message):
+        seird_euler_step(v0, EpiParams(), 0.1)
+    for steps in (0, 3):
+        with pytest.raises(ValueError, match=message):
+            seird_integrate(v0, EpiParams(), dt=0.1, steps=steps)
+
+
 def test_integrate_refuses_a_step_that_overshoots_below_zero():
     # I leaves at rate gamma + mu, so a step of dt = 20 takes it below 0
     # and the next step refuses that input

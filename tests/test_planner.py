@@ -12,31 +12,31 @@ from hypothesis import strategies as st
 
 from gridepi import assets, planner
 from gridepi.dynamics import (
+    MANDATE_MASKS,
+    Action,
     Compartment,
+    IllegalActionError,
+    apply_action_inplace,
     census,
     exposure_probability,
     init_state,
     reward,
     step,
     step_inplace,
+    vaccinate,
 )
 from gridepi.planner import (
-    MANDATE_MASKS,
     NOOP,
-    Action,
     ActionKind,
     EpisodeResult,
-    IllegalActionError,
     SearchNode,
     _quiescent,
     _recommend,
     _search,
-    apply_action_inplace,
     available_actions,
     plan,
     plan_with_stats,
     run_episode,
-    vaccinate,
 )
 from gridepi.rng import substream
 from gridepi.scenario import (
