@@ -84,9 +84,7 @@ __all__ = [
     "Trajectory",
     "TrajectoryRow",
     "TRAJECTORY_FIELDS",
-    "TRAJECTORY_HEADER",
     "FieldTable",
-    "csv_header",
     "rows_to_csv",
     "rows_to_json",
     "init_state",
@@ -114,8 +112,6 @@ _E = Compartment.E
 _I = Compartment.I
 _R = Compartment.R
 _D = Compartment.D
-
-LETTER_TO_COMPARTMENT = {"S": _S, "E": _E, "I": _I, "R": _R}
 
 # Event kinds as they appear in the JSON event log.
 MOVED = "moved"
@@ -300,7 +296,7 @@ def init_state(validated: ValidatedScenario, seed: int) -> SimState:
         vax_refusers.append(refuses_vaccine and not pl.pre_vaccinated)
         x, y = pl.position
         tile = y * width + x
-        compartment = LETTER_TO_COMPARTMENT[pl.compartment]
+        compartment = Compartment[pl.compartment]
         persons.append(PersonState(pl.person_id, compartment, tile, width, pl.pre_vaccinated))
         occupant[tile] = pl.person_id
     return SimState(0, persons, occupant, tuple(mask_refusers), tuple(vax_refusers))
@@ -713,14 +709,10 @@ def census(state: SimState) -> tuple[int, int, int, int, int]:
 FieldTable = tuple[tuple[str, str, Callable[[Any], str]], ...]
 
 
-def csv_header(fields: FieldTable) -> str:
-    return ",".join([name for name, _, _ in fields])
-
-
 def rows_to_csv(fields: FieldTable, rows: Iterable) -> str:
     """CSV text: the header line, then one line per row."""
     columns = [(attrgetter(attribute), fmt) for _, attribute, fmt in fields]
-    lines = [csv_header(fields)]
+    lines = [",".join([name for name, _, _ in fields])]
     for row in rows:
         lines.append(",".join([fmt(get(row)) for get, fmt in columns]))
     return "\n".join(lines) + "\n"
@@ -773,7 +765,6 @@ TRAJECTORY_FIELDS: FieldTable = (
     ("cum_infections", "cum_infections", str),
     ("cum_deaths", "cum_deaths", str),
 )
-TRAJECTORY_HEADER = csv_header(TRAJECTORY_FIELDS)
 
 
 @dataclass

@@ -70,7 +70,6 @@ from typing import Callable, Iterator
 from .dynamics import (
     FieldTable,
     Trajectory,
-    csv_header,
     rows_to_csv,
     rows_to_json,
 )
@@ -110,8 +109,6 @@ __all__ = [
     "make_classroom",
     "rooms_for",
     "emit_results",
-    "EXPERIMENT_CSV_HEADER",
-    "BENCHMARK_CSV_HEADER",
 ]
 
 # variation token -> (masks_available, vaccines_available)
@@ -217,7 +214,6 @@ EXPERIMENT_FIELDS: FieldTable = (
     ("pred_pos_pct", "pred_pos_pct", "{:.1f}".format),
     ("d_avg", "d_avg", "{:.2f}".format),
 )
-EXPERIMENT_CSV_HEADER = csv_header(EXPERIMENT_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -269,7 +265,6 @@ BENCHMARK_FIELDS: FieldTable = (
     ("true_pos_pct", "true_pos_pct", "{:.1f}".format),
     ("abs_error", "abs_error", "{:.1f}".format),
 )
-BENCHMARK_CSV_HEADER = csv_header(BENCHMARK_FIELDS)
 
 
 # ---------------------------------------------------------------------------

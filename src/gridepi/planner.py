@@ -5,10 +5,10 @@ them at the start of each step. Of their names the planner hands on
 only ``NOOP``, ``ActionKind`` and :func:`available_actions`; every other
 action name is imported from :mod:`gridepi.dynamics`. The reward
 formula lives there too: :func:`~gridepi.dynamics.step_inplace` returns
-each step's reward, and the search adds up what it returns. The legal
-actions of a state are listed only by :func:`available_actions`: the
-tree expands and selects over that list, and rollouts and the random
-policy draw an index into it.
+each step's reward, and the search and the episode driver add up
+what it returns. The legal actions of a state are listed only by
+:func:`available_actions`: the tree expands and selects over that
+list, and rollouts and the random policy draw an index into it.
 
 The planner is an open-loop UCT search. Tree nodes sit on action edges;
 environment stochasticity is re-sampled on every descent from the
@@ -46,7 +46,6 @@ from .dynamics import (
     _new_event,
     available_actions,
     init_state,
-    reward,
     step_inplace,
 )
 from .rng import randbelow, substream
@@ -262,9 +261,10 @@ class EpisodeResult:
     :func:`~gridepi.dynamics.step_inplace` on its environment stream
     rebuilds it.
 
-    ``reward`` is the closed form of the summed step rewards: infections
-    count from the initial census, so persons infectious at time zero
-    are starting conditions, not penalized events."""
+    ``reward`` is the sum, in step order, of what the round's
+    :func:`~gridepi.dynamics.step_inplace` calls returned. A step charges
+    only its own E -> I infections and I -> D deaths, so persons
+    infectious at time zero are not penalized."""
 
     trajectory: Trajectory
     reward: float
@@ -320,6 +320,7 @@ def _play_round(
     trajectory.record(state)
     events: list[StepEvent] | None = [] if collect_events else None
     decisions: list[dict] = []
+    total = 0.0
     for t in range(settings.horizon):
         if policy == "noop":
             action = NOOP
@@ -329,11 +330,8 @@ def _play_round(
             action, stats = plan_with_stats(state, validated, settings, plan_rng)
             if collect_decisions:
                 decisions.append({"step": t, "chosen_action": action.describe(), **stats})
-        step_inplace(state, action, validated, settings, env_rng, events)
+        total += step_inplace(state, action, validated, settings, env_rng, events)
         trajectory.record(state)
-    first, final = trajectory.rows[0], trajectory.final
-    new_infections = final.cum_infections - first.cum_infections
-    total = reward(settings, new_infections, final.cum_deaths, state.action_costs)
     return EpisodeResult(trajectory, total, events or [], decisions)
 
 

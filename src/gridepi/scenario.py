@@ -118,10 +118,6 @@ def _parse_float(text: str) -> float:
     return value
 
 
-def _parse_int(text: str) -> int:
-    return int(text, 10)
-
-
 def _parse_bool(text: str) -> bool:
     lowered = text.lower()
     if lowered == "true":
@@ -221,7 +217,7 @@ def ranged(check=None, says: str = "", *, default=MISSING, parse=None):
 
 
 # annotation -> its file converter; ``X | None`` is read as X
-_PARSERS = {int: _parse_int, float: _parse_float, bool: _parse_bool, str: str}
+_PARSERS = {int: int, float: _parse_float, bool: _parse_bool, str: str}
 
 
 @cache

@@ -1,11 +1,12 @@
-"""Shared test utilities: random scenario generation and the reference
-implementations the kernel's fast paths are checked against."""
+"""Shared test utilities: random scenario generation, the reference
+implementations the kernel's fast paths are checked against, and the
+reading of a decision log's actions."""
 
 from __future__ import annotations
 
 import random
 
-from gridepi.dynamics import Compartment
+from gridepi.dynamics import MANDATE_MASKS, NOOP, Action, Compartment, vaccinate
 from gridepi.scenario import ScenarioConfig, parse_scenario
 
 
@@ -85,6 +86,14 @@ def gather_exposure_probability(target, state, params) -> float:
                     attempt *= inf_mult
                 miss *= 1.0 - attempt
     return 1.0 - miss
+
+
+_NAMED_ACTIONS = {"noop": NOOP, "mandate_masks": MANDATE_MASKS}
+
+
+def decided_action(text: str) -> Action:
+    """A decision log's ``chosen_action`` text as an action."""
+    return _NAMED_ACTIONS.get(text) or vaccinate(int(text.removeprefix("vaccinate:")))
 
 
 def random_scenario(rng: random.Random, **kwargs) -> ScenarioConfig:

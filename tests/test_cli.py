@@ -11,8 +11,11 @@ import pytest
 
 from gridepi import assets, harness
 from gridepi.cli import DEFAULT_SEED, EXIT_IO, EXIT_OK, EXIT_USAGE, cli_main
-from gridepi.dynamics import TRAJECTORY_HEADER
-from gridepi.harness import BENCHMARK_CSV_HEADER, EXPERIMENT_CSV_HEADER
+
+# The headers the CLI prints, as text: a renamed column must fail here.
+TRAJECTORY_HEADER = "step,S,E,I,R,D,cum_infections,cum_deaths"
+EXPERIMENT_HEADER = "simulation,N,masks,vaccines,walkable,total_tiles,density,pred_pos_pct,d_avg"
+BENCHMARK_HEADER = "model,simulations,masks,vaccines,N,N_est,pred_pos_pct,true_pos_pct,abs_error"
 
 MICRO_SCN = """\
 [grid]
@@ -290,7 +293,7 @@ def test_experiment_stdout_and_file_match(tmp_path, sweep, capsys):
     stdout = capsys.readouterr().out
     assert stdout == out.read_text(encoding="utf-8")
     lines = stdout.splitlines()
-    assert lines[0] == EXPERIMENT_CSV_HEADER
+    assert lines[0] == EXPERIMENT_HEADER
     assert len(lines) == 3
     assert lines[1].startswith("tiny,")
     assert lines[2].startswith("tiny+masks,")
@@ -315,7 +318,7 @@ def test_experiment_runs_override(sweep, capsys):
     assert cli_main(["experiment", sweep, "--runs", "0"]) == EXIT_USAGE
     capsys.readouterr()
     assert cli_main(["experiment", sweep, "--runs", "1"]) == EXIT_OK
-    assert EXPERIMENT_CSV_HEADER in capsys.readouterr().out
+    assert capsys.readouterr().out.startswith(EXPERIMENT_HEADER + "\n")
 
 
 def test_experiment_runs_zero_prints_the_spec_rule(sweep, capsys):
@@ -385,7 +388,7 @@ def bench(tmp_path):
 def test_benchmark_output(bench, capsys):
     assert cli_main(["benchmark", bench, "--seed", "8"]) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == BENCHMARK_CSV_HEADER
+    assert lines[0] == BENCHMARK_HEADER
     assert lines[1].startswith("Tiny-MDP-1,2,no,no,6,6,")
     assert lines[2].startswith("Tiny-MDP-2,2,yes,yes,6,6,")
 

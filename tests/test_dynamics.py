@@ -25,7 +25,6 @@ from gridepi.dynamics import (
     PersonState,
     SimState,
     StepEvent,
-    TRAJECTORY_HEADER,
     Trajectory,
     census,
     death_probability_on_exit,
@@ -510,7 +509,7 @@ def test_trajectory_csv_shape():
         trajectory.record(state)
     text = trajectory.to_csv()
     lines = text.splitlines()
-    assert lines[0] == TRAJECTORY_HEADER
+    assert lines[0] == "step,S,E,I,R,D,cum_infections,cum_deaths"
     assert lines[1] == "0,1,0,1,0,0,1,0"
     assert len(lines) == 5
     assert trajectory.final.step == 3

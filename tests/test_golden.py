@@ -28,18 +28,16 @@ import pytest
 from gridepi.assets import asset_path
 from gridepi.cli import EXIT_OK, cli_main
 from gridepi.dynamics import (
-    MANDATE_MASKS,
-    NOOP,
     Action,
     Trajectory,
     available_actions,
     events_to_jsonl,
     init_state,
     step_inplace,
-    vaccinate,
 )
 from gridepi.rng import substream
 from gridepi.scenario import load_scenario, serialize_scenario, validate
+from helpers import decided_action
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 INPUTS = GOLDEN / "inputs"
@@ -149,17 +147,11 @@ def test_golden(name, tmp_path):
 # The environment is a function of (scenario, seed, actions)
 # ---------------------------------------------------------------------------
 
-_NAMED_ACTIONS = {"noop": NOOP, "mandate_masks": MANDATE_MASKS}
-
 
 def _decided_actions(path: Path) -> list[Action]:
     """The ``chosen_action`` of each line of a decision log, as actions."""
-    actions = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        text = json.loads(line)["chosen_action"]
-        action = _NAMED_ACTIONS.get(text)
-        actions.append(action or vaccinate(int(text.removeprefix("vaccinate:"))))
-    return actions
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return [decided_action(json.loads(line)["chosen_action"]) for line in lines]
 
 
 def _replay(validated, settings, seed: int, actions: list[Action]) -> tuple[str, str]:

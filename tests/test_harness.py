@@ -10,9 +10,7 @@ import pytest
 
 from gridepi import assets, fanout, planner
 from gridepi.harness import (
-    BENCHMARK_CSV_HEADER,
     BenchmarkMetrics,
-    EXPERIMENT_CSV_HEADER,
     ExperimentSpec,
     RunMetrics,
     VARIATIONS,
@@ -680,7 +678,7 @@ def _benchmark_row():
 def test_emit_experiment_csv_formatting():
     text = emit_results([_experiment_row()])
     lines = text.splitlines()
-    assert lines[0] == EXPERIMENT_CSV_HEADER
+    assert lines[0] == "simulation,N,masks,vaccines,walkable,total_tiles,density,pred_pos_pct,d_avg"
     assert lines[1] == "demo+masks,8,yes,no,16,20,0.38,62.2,0.12"
     assert text.endswith("\n")
 
@@ -688,7 +686,7 @@ def test_emit_experiment_csv_formatting():
 def test_emit_benchmark_csv_formatting():
     text = emit_results([_benchmark_row()])
     lines = text.splitlines()
-    assert lines[0] == BENCHMARK_CSV_HEADER
+    assert lines[0] == "model,simulations,masks,vaccines,N,N_est,pred_pos_pct,true_pos_pct,abs_error"
     assert lines[1] == "Tiny-MDP-1,13,no,no,105,104,41.7,21.2,20.5"
 
 

@@ -46,7 +46,7 @@ from gridepi.scenario import (
     parse_scenario,
     validate,
 )
-from helpers import random_scenario
+from helpers import decided_action, random_scenario
 
 
 def _validated(text: str):
@@ -387,6 +387,35 @@ def test_run_episode_charges_the_handed_costs(policy):
         final = result.trajectory.final
         infections = final.cum_infections - (i0 + r0 + d0)
         assert result.reward == reward(settings, infections, final.d - d0, charged)
+
+
+# Non-dyadic costs: a sum in another order can differ in its last bits.
+ROUNDING_COSTS = {"cost_mask_action": -0.35, "cost_vax_action": -0.05}
+
+
+def _summed_step_rewards(v, settings, seed: int, actions=None) -> float:
+    """What the steps of a round return, summed in step order, from
+    ``init_state(v, seed)`` on the round's environment stream. The steps
+    play ``actions``, or without them draw each action as the random
+    policy does, on the round's planning stream."""
+    state = init_state(v, seed)
+    env = substream(seed, "env")
+    draws = substream(seed, "plan").getrandbits
+    total = 0.0
+    for t in range(settings.horizon):
+        action = planner._random_action(state, settings, draws) if actions is None else actions[t]
+        total += step_inplace(state, action, v, settings, env)
+    return total
+
+
+@pytest.mark.parametrize("policy", ["random", "planner"])
+def test_round_reward_is_the_sum_of_its_step_rewards(policy):
+    v = _BUNDLED_ROOMS["small_crowded.scn"]
+    settings = replace(v.planner, horizon=10, rounds=1, uct_iterations=8, **ROUNDING_COSTS)
+    for seed in range(20) if policy == "random" else range(4):
+        (result,) = run_episode(v, settings, policy, seed, collect_decisions=True)
+        actions = [decided_action(d["chosen_action"]) for d in result.decisions] or None
+        assert result.reward == _summed_step_rewards(v, settings, seed, actions)
 
 
 @pytest.mark.parametrize("policy", ["random", "planner"])
